@@ -8,8 +8,9 @@ Run from the repository root.  The benchmark writes its seeded inputs under
 is built once in a cache of its own, then runs whole passes over the
 workload's operation list, each pass in a fresh interpreter
 (``worker.py``), until ``--seconds`` are used (at least three passes).  An
-operation's time is its best over the passes.  Outputs are checked in this
-process, outside the measured one (``workloads.py``).  The last line of
+operation's time is its CPU time, rescaled to the machine's nominal speed
+(``REF_NOMINAL_S``), and its best over the passes.  Outputs are checked in
+this process, outside the measured one (``workloads.py``).  The last line of
 standard output is one JSON object with ``correct``, ``attempted``,
 ``failed`` and ``metrics``: the end-to-end metrics with ``--trace 0``, the
 per-layer metrics of ``tracing.py`` with ``--trace 1``.
@@ -37,6 +38,13 @@ PASSES = WORK / "passes"
 SETUP_SAMPLES = 5  # set-up-only interpreters; every pass adds one more sample
 MIN_PASSES = 3
 PASS_TIMEOUT_S = 150
+# CPU time of worker.reference_s() on the 2-core x86-64 VM this benchmark was
+# built on, when nothing else ran.  A measured time t, taken while the
+# reference routine took r, is reported as t * REF_NOMINAL_S / r: the time
+# the operation would take on that machine at its usual speed.  CPU time
+# leaves out steal; the rescaling cancels the host's slow phases, which last
+# seconds and slow the reference routine as well as popmatch.
+REF_NOMINAL_S = 180e-6
 
 
 def _fail(message: str) -> None:
@@ -122,12 +130,20 @@ def _run_worker(ops, kind: str, env, tag: str, verdicts: Verdicts | None = None,
     if proc.returncode != 0:
         _fail(f"worker exited {proc.returncode}:\n{proc.stderr.strip()}")
     with open(result, encoding="utf-8") as fh:
-        head, *rows, tail = map(json.loads, fh)
+        head, *lines, tail = map(json.loads, fh)
+    rows = [obj for obj in lines if "ref" not in obj]
+    refs = [obj["ref"] for obj in lines if "ref" in obj]
+    # a pass lasts about a second, shorter than the host's speed phases; the
+    # median ignores a reference timing that a garbage collection stretched
+    scale = REF_NOMINAL_S / statistics.median(refs)
     if verdicts is not None:
         verdicts.add(rows)
     return {
-        "setup_s": head["setup_s"],
-        "times": [r["time"] for r in rows],
+        "setup_s": head["setup_s"] * scale,
+        "times": [None if r["time"] is None else r["time"] * scale for r in rows],
+        "cpu": [r["time"] for r in rows],
+        "wall": sum(r["wall"] for r in rows),
+        "refs": refs,
         "maxrss_kb": tail["maxrss_kb"],
         "spans": str(spans),
     }
@@ -149,10 +165,10 @@ def _p95(values: list[float]) -> float:
     return ordered[math.ceil(0.95 * len(ordered)) - 1]
 
 
-def _best_times(passes: list[dict]) -> list[float]:
+def _best_times(passes: list[dict], key: str = "times") -> list[float]:
     best = []
-    for i in range(len(passes[0]["times"])):
-        times = [p["times"][i] for p in passes if p["times"][i] is not None]
+    for i in range(len(passes[0][key])):
+        times = [p[key][i] for p in passes if p[key][i] is not None]
         if times:
             best.append(min(times))
     return best
@@ -208,6 +224,11 @@ def main() -> None:
     print(f"perfbench: {len(plain)} plain and {len(traced)} traced passes in "
           f"{time.perf_counter() - start:.1f} s, {cpu:.1f} s of CPU time in workers, "
           f"steal {steal}", file=sys.stderr)
+    refs = sorted(r for p in every for r in p["refs"])
+    print(f"perfbench: reference routine {1e6 * refs[0]:.0f}..{1e6 * statistics.median(refs):.0f}"
+          f"..{1e6 * refs[-1]:.0f} us (min..median..max, nominal {1e6 * REF_NOMINAL_S:.0f}); "
+          f"unscaled best CPU {sum(_best_times(plain, 'cpu')):.3f} s; "
+          f"wall per plain pass {statistics.median(p['wall'] for p in plain):.3f} s", file=sys.stderr)
 
     best = _best_times(plain)
     run_s = sum(best)

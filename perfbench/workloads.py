@@ -48,7 +48,7 @@ CERTIFY_SIZES = (6, 8, 9, 10, 11, 12, 14, 16, 18, 20, 22, 25)  # per side
 CERTIFY_DENSITY = (1.0, 0.6, 0.8, 0.5, 1.0, 0.3, 0.6, 1.0, 0.2, 0.5, 0.3, 0.2)
 LADDER_RUNGS = (13,) * 8 + (14,) * 4  # the 12 slowest operations
 SWEEP_SHAPES = ((2, 2, 4), (2, 3, 5), (3, 2, 5), (3, 3, 6), (3, 3, 7), (3, 4, 7), (4, 3, 7))
-SWEEP_INSTANCES = 203
+SWEEP_INSTANCES = 609  # 87 of each shape: the median falls inside the (3, 3, 6) group, whose times vary most
 SAT_FORMULAS = 39  # 2 variables, 2 or 3 clauses
 TARGETS = ("g4", "g4max", "g5", "hmin", "hroom")
 
