@@ -37,7 +37,7 @@ from array import array
 from dataclasses import dataclass
 from pathlib import Path
 
-from .model import Instance
+from .model import Instance, Matching
 
 BIG = 1 << 30
 
@@ -54,6 +54,13 @@ class BipartiteView:
     adj: list[int]          # responder ids, preference order per proposer
     crossrank: list[int]    # proposer's 0-based rank in the responder's list
     resp_deg: list[int]
+
+    def matching(self, inst: Instance, prop_partner: list[int]) -> Matching:
+        """The matching of ``inst`` (this view's instance) in a partner array; -1 is unmatched."""
+        pairs = [
+            (self.prop_ids[p], self.resp_ids[r]) for p, r in enumerate(prop_partner) if r >= 0
+        ]
+        return Matching(inst, pairs)
 
 
 def compile_view(inst: Instance) -> BipartiteView:

@@ -193,12 +193,7 @@ def exists_unstable_popular(
         start_rel={arrays[0][hit]: arrays[5][hit]},
         cutoff={arrays[4][hit]: 1},
     )
-    pairs = [
-        (view.prop_ids[p], view.resp_ids[r])
-        for p, r in enumerate(res.prop_partner)
-        if r >= 0
-    ]
-    return gp.project(Matching(gp.instance, pairs))
+    return gp.project(view.matching(gp.instance, res.prop_partner))
 
 
 def exists_unstable_popular_pairwise(inst: Instance) -> Matching | None:
@@ -232,10 +227,5 @@ def exists_unstable_popular_pairwise(inst: Instance) -> Matching | None:
                     continue
                 if not _gs.output_is_stable(view, res):
                     continue
-                pairs = [
-                    (view.prop_ids[p], view.resp_ids[r])
-                    for p, r in enumerate(res.prop_partner)
-                    if r >= 0
-                ]
-                return gp.project(Matching(gp.instance, pairs))
+                return gp.project(view.matching(gp.instance, res.prop_partner))
     return None

@@ -21,13 +21,14 @@ exhaustive-enumeration vertex cap.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import random
 import sys
-from dataclasses import dataclass
 
 from .classify import exists_unstable_popular
+from .election import delta
 from .engine import gale_shapley, solve_dominant
 from .gen import random_marriage, random_roommates
 from .model import (
@@ -43,6 +44,7 @@ from .oracle import brute_sat, classify_exhaustive, enumerate_stable_matchings
 from .popularity import (
     find_witness_small,
     is_dominant,
+    is_dominant_structure,
     is_popular_structure,
     is_stable,
     verify_witness,
@@ -61,27 +63,6 @@ from .reductions import (
 )
 
 EXHAUSTIVE_CAP = 16
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Resolved invocation: what to run, on which files, with which knobs."""
-
-    subcommand: str
-    inputs: tuple[str, ...] = ()
-    output: str = "text"
-    cap: int | None = None
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.cap is not None and self.cap <= 0:
-            raise ValueError("size cap must be positive")
-        if self.output not in ("text", "json"):
-            raise ValueError(f"unknown output format {self.output!r}")
-
-    @property
-    def json(self) -> bool:
-        return self.output == "json"
 
 
 def _read(path: str) -> str:
@@ -117,11 +98,11 @@ def _print_matching(m: Matching) -> None:
 # solve
 
 
-def _cmd_solve(cfg: RunConfig, args) -> int:
-    inst = _load_instance(cfg.inputs[0])
+def _cmd_solve(args) -> int:
+    inst = _load_instance(args.instance)
     if args.dominant:
         m, witness = solve_dominant(inst)
-        if cfg.json:
+        if args.json:
             _emit({"matching": _edge_list(m), "witness": witness})
         else:
             _print_matching(m)
@@ -130,7 +111,7 @@ def _cmd_solve(cfg: RunConfig, args) -> int:
                 print(f"{u} {witness[u]}")
     else:
         m = gale_shapley(inst)
-        if cfg.json:
+        if args.json:
             _emit({"matching": _edge_list(m)})
         else:
             _print_matching(m)
@@ -162,13 +143,13 @@ def _parse_witness_file(path: str, inst: Instance) -> dict[str, int]:
     return w
 
 
-def _cmd_verify(cfg: RunConfig, args) -> int:
-    inst = _load_instance(cfg.inputs[0])
-    m = _load_matching(cfg.inputs[1], inst)
+def _cmd_verify(args) -> int:
+    inst = _load_instance(args.files[0])
+    m = _load_matching(args.files[1], inst)
 
     if args.mode == "stable":
         ok, edge = is_stable(inst, m)
-        if cfg.json:
+        if args.json:
             _emit({"stable": ok, "blocking": list(edge) if edge else None})
         elif ok:
             print("STABLE")
@@ -182,7 +163,7 @@ def _cmd_verify(cfg: RunConfig, args) -> int:
         witness = None
         if ok and inst.kind == "marriage" and len(inst.vertices) <= 24:
             witness = find_witness_small(inst, m)
-        if cfg.json:
+        if args.json:
             _emit(
                 {
                     "popular": ok,
@@ -206,9 +187,9 @@ def _cmd_verify(cfg: RunConfig, args) -> int:
         return 0 if ok else 1
 
     if args.mode == "dominant":
-        popular, cert = is_popular_structure(inst, m)
-        ok = popular and is_dominant(inst, m)
-        if cfg.json:
+        ok, cert = is_dominant_structure(inst, m)
+        popular = cert is None
+        if args.json:
             reason = None
             if not popular:
                 reason = {"kind": cert.kind, "vertices": list(cert.vertices)}
@@ -226,9 +207,9 @@ def _cmd_verify(cfg: RunConfig, args) -> int:
         return 0 if ok else 1
 
     # witness mode
-    w = _parse_witness_file(cfg.inputs[2], inst)
+    w = _parse_witness_file(args.files[2], inst)
     ok, bad = verify_witness(inst, m, w)
-    if cfg.json:
+    if args.json:
         _emit({"valid": ok, "violations": [list(map(str, v)) for v in bad]})
     elif ok:
         print("VALID WITNESS")
@@ -243,30 +224,21 @@ def _cmd_verify(cfg: RunConfig, args) -> int:
 # election
 
 
-def _cmd_election(cfg: RunConfig, args) -> int:
-    inst = _load_instance(cfg.inputs[0])
-    ma = _load_matching(cfg.inputs[1], inst)
-    mb = _load_matching(cfg.inputs[2], inst)
-    for_a = for_b = 0
-    for u in inst.vertices:
-        pa = ma.partner(u)
-        pb = mb.partner(u)
-        if pa == pb:
-            continue
-        if pb is None:
-            for_a += 1
-        elif pa is None:
-            for_b += 1
-        elif inst.ranks.prefers(u, pa, pb):
-            for_a += 1
-        else:
-            for_b += 1
-    if cfg.json:
-        _emit({"phi_ab": for_a, "phi_ba": for_b, "delta": for_a - for_b})
+def _cmd_election(args) -> int:
+    inst = _load_instance(args.instance)
+    ma = _load_matching(args.matching_a, inst)
+    mb = _load_matching(args.matching_b, inst)
+    # Strict preferences, unmatched worst: each vertex whose partner differs
+    # votes for exactly one side, so the d voters split as (d + δ)/2, (d − δ)/2.
+    voters = sum(ma.partner(u) != mb.partner(u) for u in inst.vertices)
+    margin = delta(inst, ma, mb)
+    for_a, for_b = (voters + margin) // 2, (voters - margin) // 2
+    if args.json:
+        _emit({"phi_ab": for_a, "phi_ba": for_b, "delta": margin})
     else:
         print(f"phi(A,B) {for_a}")
         print(f"phi(B,A) {for_b}")
-        print(f"delta {for_a - for_b}")
+        print(f"delta {margin}")
     return 0
 
 
@@ -274,12 +246,12 @@ def _cmd_election(cfg: RunConfig, args) -> int:
 # classify
 
 
-def _cmd_classify(cfg: RunConfig, args) -> int:
-    inst = _load_instance(cfg.inputs[0])
+def _cmd_classify(args) -> int:
+    inst = _load_instance(args.instance)
 
     if args.all_popular_stable:
         bad = exists_unstable_popular(inst)
-        if cfg.json:
+        if args.json:
             _emit(
                 {
                     "question": "all-popular-stable",
@@ -295,11 +267,11 @@ def _cmd_classify(cfg: RunConfig, args) -> int:
         return 0 if bad is None else 1
 
     # all-popular-dominant, exhaustive route only
-    cap = cfg.cap if cfg.cap is not None else EXHAUSTIVE_CAP
+    cap = args.cap if args.cap is not None else EXHAUSTIVE_CAP
     report = classify_exhaustive(inst, cap=cap)
     dominant = set(report.dominant)
     bad = next((m for m in report.popular if m not in dominant), None)
-    if cfg.json:
+    if args.json:
         _emit(
             {
                 "question": "all-popular-dominant",
@@ -319,10 +291,10 @@ def _cmd_classify(cfg: RunConfig, args) -> int:
 # oracle
 
 
-def _cmd_oracle(cfg: RunConfig, args) -> int:
-    inst = _load_instance(cfg.inputs[0])
-    report = classify_exhaustive(inst, cap=cfg.cap)
-    if cfg.json:
+def _cmd_oracle(args) -> int:
+    inst = _load_instance(args.instance)
+    report = classify_exhaustive(inst, cap=args.cap)
+    if args.json:
         _emit({"matchings": len(report.matchings)})
         _emit({"stable": [_edge_list(m) for m in report.stable]})
         _emit({"popular": [_edge_list(m) for m in report.popular]})
@@ -443,8 +415,8 @@ def _verify_reduction(
     return ok, "SAT ⇒ popular matching exists"
 
 
-def _cmd_reduce(cfg: RunConfig, args) -> int:
-    path = cfg.inputs[0]
+def _cmd_reduce(args) -> int:
+    path = args.cnf
     nf = normalize_3sat(parse_dimacs(_read(path)))
     base, gm, final, extras = _build_target(nf, args.target)
     roles = _role_lines(nf, gm, extras)
@@ -461,7 +433,7 @@ def _cmd_reduce(cfg: RunConfig, args) -> int:
     with open(roles_path, "w", encoding="utf-8") as fh:
         fh.writelines(f"{role} {vertex}\n" for role, vertex in roles)
 
-    if cfg.json:
+    if args.json:
         _emit({"instance": inst_path, "roles": roles_path, "vertices": len(final.vertices)})
     else:
         print(f"wrote {inst_path}")
@@ -471,7 +443,7 @@ def _cmd_reduce(cfg: RunConfig, args) -> int:
         return 0
     ok, claim = _verify_reduction(args.target, nf, gm, base, final)
     verdict = "CONFIRMED" if ok else "REFUTED"
-    if cfg.json:
+    if args.json:
         _emit({"claim": claim, "verdict": verdict})
     else:
         print(f"{claim}: {verdict}")
@@ -508,21 +480,21 @@ def _parse_corpus_params(tokens) -> dict:
     return out
 
 
-def _cmd_corpus(cfg: RunConfig, args) -> int:
+def _cmd_corpus(args) -> int:
     p = _parse_corpus_params(args.params)
-    n, count, kind, density = p["n"], p["count"], p["kind"], p["density"]
+    n, count, seed, kind, density = p["n"], p["count"], p["seed"], p["kind"], p["density"]
     os.makedirs(args.out_dir, exist_ok=True)
-    rng = random.Random(cfg.seed)
+    rng = random.Random(seed)
     for i in range(count):
         if kind == "marriage":
             inst = random_marriage(rng, n, n, density)
         else:
             inst = random_roommates(rng, n, density)
-        name = f"{kind}_n{n}_s{cfg.seed}_{i:03d}.inst"
+        name = f"{kind}_n{n}_s{seed}_{i:03d}.inst"
         out = os.path.join(args.out_dir, name)
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(serialize_instance(inst))
-        if cfg.json:
+        if args.json:
             _emit({"wrote": out})
         else:
             print(f"wrote {out}")
@@ -533,7 +505,9 @@ def _cmd_corpus(cfg: RunConfig, args) -> int:
 # parser plumbing
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and shared after it."""
     top = argparse.ArgumentParser(
         prog="popmatch",
         description="Stable, popular, and dominant matchings under strict preferences.",
@@ -549,7 +523,7 @@ def _build_parser() -> argparse.ArgumentParser:
     mode.add_argument("--dominant", action="store_true")
     p.add_argument("instance")
     common(p)
-    p.set_defaults(func=_cmd_solve, inputs=lambda a: (a.instance,))
+    p.set_defaults(func=_cmd_solve)
 
     p = sub.add_parser("verify", help="check a matching or witness")
     mode = p.add_mutually_exclusive_group(required=True)
@@ -559,16 +533,14 @@ def _build_parser() -> argparse.ArgumentParser:
     mode.add_argument("--witness", dest="mode", action="store_const", const="witness")
     p.add_argument("files", nargs="+")
     common(p)
-    p.set_defaults(func=_cmd_verify, inputs=lambda a: tuple(a.files))
+    p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("election", help="head-to-head vote totals of two matchings")
     p.add_argument("instance")
     p.add_argument("matching_a")
     p.add_argument("matching_b")
     common(p)
-    p.set_defaults(
-        func=_cmd_election, inputs=lambda a: (a.instance, a.matching_a, a.matching_b)
-    )
+    p.set_defaults(func=_cmd_election)
 
     p = sub.add_parser("classify", help="decide class-collapse questions")
     q = p.add_mutually_exclusive_group(required=True)
@@ -582,7 +554,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--cap", type=int, default=None, help="vertex cap for --exhaustive")
     common(p)
-    p.set_defaults(func=_cmd_classify, inputs=lambda a: (a.instance,))
+    p.set_defaults(func=_cmd_classify)
 
     p = sub.add_parser("reduce", help="compile a DIMACS CNF into a hardness gadget")
     p.add_argument("cnf")
@@ -590,20 +562,20 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--verify", action="store_true", help="check the encoded decision")
     p.add_argument("--out-dir", default=None)
     common(p)
-    p.set_defaults(func=_cmd_reduce, inputs=lambda a: (a.cnf,))
+    p.set_defaults(func=_cmd_reduce)
 
     p = sub.add_parser("oracle", help="exhaustive classification of a small instance")
     p.add_argument("instance")
     p.add_argument("--cap", type=int, default=None)
     common(p)
-    p.set_defaults(func=_cmd_oracle, inputs=lambda a: (a.instance,))
+    p.set_defaults(func=_cmd_oracle)
 
     p = sub.add_parser("corpus", help="generate reproducible random instances")
     p.add_argument("--random", action="store_true", required=True)
     p.add_argument("params", nargs="*", metavar="key=value")
     p.add_argument("--out-dir", default="corpus")
     common(p)
-    p.set_defaults(func=_cmd_corpus, inputs=lambda a: ())
+    p.set_defaults(func=_cmd_corpus)
 
     return top
 
@@ -629,17 +601,9 @@ def run(argv=None) -> int:
                 )
         if args.subcommand == "classify" and args.all_popular_dominant and not args.exhaustive:
             raise ValueError("--all-popular-dominant requires --exhaustive")
-        seed = 0
-        if args.subcommand == "corpus":
-            seed = _parse_corpus_params(args.params)["seed"]
-        cfg = RunConfig(
-            subcommand=args.subcommand,
-            inputs=args.inputs(args),
-            output="json" if args.json else "text",
-            cap=getattr(args, "cap", None),
-            seed=seed,
-        )
-        return args.func(cfg, args)
+        if getattr(args, "cap", None) is not None and args.cap <= 0:
+            raise ValueError("size cap must be positive")
+        return args.func(args)
     except (ParseError, ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

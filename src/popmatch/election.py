@@ -48,10 +48,6 @@ class EdgeWeighting:
     edge: dict[tuple[str, str], int]
     loop: dict[str, int]
 
-    def weight(self, u: str, v: str) -> int:
-        e = (u, v) if (u, v) in self.edge else (v, u)
-        return self.edge[e]
-
 
 def vote(inst: Instance, u: str, candidate: str, m: Matching) -> int:
     """+1 iff ``u`` prefers ``candidate`` to its partner in ``m``.

@@ -101,12 +101,7 @@ def gale_shapley(inst: Instance, c: ProposalConstraints | None = None) -> Matchi
     else:
         skip, cutoff, seeds = _compile_constraints(inst, view, c)
         res = _gs.run_proposals(view, cutoff=cutoff or None, skip_abs=skip or None, seeds=seeds or None)
-    pairs = [
-        (view.prop_ids[p], view.resp_ids[r])
-        for p, r in enumerate(res.prop_partner)
-        if r >= 0
-    ]
-    return Matching(inst, pairs)
+    return view.matching(inst, res.prop_partner)
 
 
 @dataclass(frozen=True)

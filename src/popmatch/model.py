@@ -169,7 +169,6 @@ class Instance:
                     done.add(key)
                     order.append(self.canonical_edge(u, v))
         self.edges: tuple[tuple[str, str], ...] = tuple(order)
-        self.edge_set: frozenset[tuple[str, str]] = frozenset(order)
 
     # -- convenience -------------------------------------------------------
 

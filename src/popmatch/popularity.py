@@ -26,6 +26,7 @@ __all__ = [
     "is_popular_weight",
     "is_popular_structure",
     "is_dominant",
+    "is_dominant_structure",
     "verify_witness",
     "find_witness_small",
     "check_structure",
@@ -182,10 +183,11 @@ def is_popular_structure(
     paths, then two-blocking paths by blocking edge, then cycles) when the
     matching is unpopular.
     """
-    rg = _RestrictedGraph(inst, m)
-    if not rg.pp_edges:
-        return True, None
-    if not _screen_fires(rg):
+    return _structure_test(_RestrictedGraph(inst, m))
+
+
+def _structure_test(rg: _RestrictedGraph) -> tuple[bool, ForbiddenStructure | None]:
+    if not rg.pp_edges or not _screen_fires(rg):
         return True, None
     found = _find_free_path(rg) or _find_two_blocking_path(rg) or _find_cycle(rg)
     if found is None:
@@ -383,13 +385,25 @@ def check_structure(inst: Instance, m: Matching, s: ForbiddenStructure) -> bool:
 
 def is_dominant(inst: Instance, m: Matching) -> bool:
     """Popular and not extendable by an augmenting path in G_M."""
-    popular, _ = is_popular_structure(inst, m)
-    if not popular:
-        return False
+    return is_dominant_structure(inst, m)[0]
+
+
+def is_dominant_structure(
+    inst: Instance, m: Matching
+) -> tuple[bool, ForbiddenStructure | None]:
+    """Dominance plus, when m is not even popular, the structure showing it.
+
+    One restricted graph serves the structure test and the augmenting-path
+    (marriage) or maximum-matching (roommates) test.  The structure is None
+    when m is popular, whether or not it is dominant.
+    """
     rg = _RestrictedGraph(inst, m)
+    popular, cert = _structure_test(rg)
+    if not popular:
+        return False, cert
     if inst.kind == "marriage":
-        return not _augmenting_bfs(rg)
-    return _max_matching_size(rg) <= len(m)
+        return not _augmenting_bfs(rg), None
+    return _max_matching_size(rg) <= len(m), None
 
 
 def _augmenting_bfs(rg):

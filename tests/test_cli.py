@@ -1,8 +1,11 @@
 import json
+import random
 
 import pytest
 
-from popmatch.cli import RunConfig, run
+from popmatch.cli import run
+from popmatch.gen import random_marriage, random_maximal_matching, random_roommates
+from popmatch.model import serialize_instance, serialize_matching
 
 from conftest import FIG1_TEXT
 
@@ -22,12 +25,42 @@ def files(tmp_path):
     return tmp_path
 
 
-def test_runconfig_validation():
-    with pytest.raises(ValueError):
-        RunConfig("solve", cap=0)
-    with pytest.raises(ValueError):
-        RunConfig("solve", output="xml")
-    assert RunConfig("solve", output="json").json
+def test_cap_must_be_positive(files, capsys):
+    inst = str(files / "fig1.inst")
+    for argv in (
+        ["oracle", inst, "--cap", "0"],
+        ["classify", inst, "--all-popular-dominant", "--exhaustive", "--cap", "0"],
+    ):
+        assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: size cap must be positive\n"
+
+
+def test_runs_in_one_process_carry_nothing_over(files, capsys):
+    """The parser is built once per process; no call may see another's arguments."""
+    inst = str(files / "fig1.inst")
+    m2 = str(files / "m2.match")
+    calls = [
+        (["verify", "--dominant", inst, m2, "--json"], 0,
+         '{"counterexample": null, "dominant": true}\n'),
+        (["verify", "--stable", inst, m2], 1, "UNSTABLE\nblocking a1 b1\n"),
+        (["classify", inst, "--all-popular-dominant"], 2, ""),
+        (["oracle", inst, "--cap", "0"], 2, ""),
+        (["solve", "--stable", inst], 0, "a1 b1\na2 b2\n"),
+        (["classify", inst, "--all-popular-stable", "--json"], 1,
+         '{"counterexample": [["a1", "b2"], ["a2", "b1"]], '
+         '"question": "all-popular-stable", "verdict": false}\n'),
+        (["oracle", inst, "--json"], 0, None),
+        (["verify", "--dominant", inst, str(files / "m1.match")], 1,
+         "NOT DOMINANT\na larger matching ties the election\n"),
+    ]
+    for argv, code, out in calls:
+        assert run(argv) == code, argv
+        captured = capsys.readouterr()
+        if out is not None:
+            assert captured.out == out, argv
+        assert bool(captured.err) == (code == 2), argv
 
 
 def test_solve_stable(files, capsys):
@@ -88,6 +121,31 @@ def test_election(files, capsys):
     )
     assert code == 0
     assert capsys.readouterr().out == "phi(A,B) 4\nphi(B,A) 2\ndelta 2\n"
+
+    # seeded random instances against a vertex-by-vertex count of the votes
+    rng = random.Random(2018)
+    for trial in range(8):
+        if trial % 2:
+            inst = random_roommates(rng, rng.randint(3, 7), rng.uniform(0.5, 1.0))
+        else:
+            inst = random_marriage(rng, rng.randint(2, 5), rng.randint(2, 5), rng.uniform(0.5, 1.0))
+        ma = random_maximal_matching(rng, inst)
+        mb = random_maximal_matching(rng, inst)
+        paths = [files / f"r{trial}.inst", files / f"r{trial}a.match", files / f"r{trial}b.match"]
+        for path, text in zip(paths, (serialize_instance(inst), serialize_matching(ma),
+                                      serialize_matching(mb))):
+            path.write_text(text)
+
+        def rank(u, m):
+            p = m.partner(u)
+            return len(inst.prefs[u]) if p is None else inst.prefs[u].index(p)
+
+        for_a = sum(rank(u, ma) < rank(u, mb) for u in inst.vertices)
+        for_b = sum(rank(u, mb) < rank(u, ma) for u in inst.vertices)
+        assert run(["election", *map(str, paths), "--json"]) == 0
+        assert json.loads(capsys.readouterr().out) == {
+            "phi_ab": for_a, "phi_ba": for_b, "delta": for_a - for_b,
+        }
 
 
 def test_election_json(files, capsys):
