@@ -7,10 +7,12 @@ The structure test searches the restricted graph for one of the three
 forbidden patterns: an alternating cycle through a blocking edge, an
 alternating path through two blocking edges, and an alternating path from
 an unmatched vertex through a blocking edge.  A fast walk-level screen
-rules out all three for most popular inputs; when the screen fires, an
-exhaustive simple-path search settles the answer and produces the
-certificate.  The screen is complete (every forbidden pattern trips it),
-so a clean screen already proves popularity, for roommates instances too.
+rules out all three for most popular inputs; when the screen fires, a
+search settles the answer and produces the certificate: linear
+breadth-first searches of the anchor digraph on marriage instances, and a
+depth-first simple-path search under a node budget on roommates instances.
+The screen is complete (every forbidden pattern trips it), so a clean
+screen already proves popularity, for roommates instances too.
 """
 
 from __future__ import annotations
@@ -33,6 +35,9 @@ __all__ = [
 ]
 
 Witness = dict[str, int]
+
+# Most depth-first certificate search calls one roommates verdict may make.
+_DFS_NODE_BUDGET = 1_000_000
 
 
 class ForbiddenStructure(NamedTuple):
@@ -156,6 +161,7 @@ class _RestrictedGraph:
         lab = label_edges(inst, m)
         self.blocking = lab.blocking
         self.partner = {u: m.partner(u) for u in inst.vertices}
+        self.free = [u for u, p in self.partner.items() if p is None]
         self.adj: dict[str, list[tuple[str, bool]]] = {u: [] for u in inst.vertices}
         for u in inst.vertices:
             for v in inst.prefs[u]:
@@ -166,6 +172,7 @@ class _RestrictedGraph:
                     continue
                 self.adj[u].append((v, e in lab.blocking))
         self.pp_edges = [e for e in inst.edges if e in lab.blocking]
+        self.nodes = 0  # depth-first search calls, counted against the budget
 
     def has_fresh_blocking(self, u, path):
         for v, pp in self.adj[u]:
@@ -179,9 +186,14 @@ def is_popular_structure(
 ) -> tuple[bool, ForbiddenStructure | None]:
     """Popularity by absence of forbidden alternating structures.
 
-    Returns the first structure found in search order (unmatched-endpoint
-    paths, then two-blocking paths by blocking edge, then cycles) when the
-    matching is unpopular.
+    When the matching is unpopular, returns the first structure found by
+    three searches in turn: from the unmatched vertices, from each blocking
+    edge towards a second one, and from each blocking edge back to its own
+    start.  On marriage instances each search is breadth-first, so it
+    returns a structure of fewest steps from its starts, and the first two
+    may return a cycle where a blocking edge leads back into the path.  On
+    roommates instances the first two return paths and the third a cycle;
+    their depth-first search raises ValueError past its node budget.
     """
     return _structure_test(_RestrictedGraph(inst, m))
 
@@ -189,15 +201,37 @@ def is_popular_structure(
 def _structure_test(rg: _RestrictedGraph) -> tuple[bool, ForbiddenStructure | None]:
     if not rg.pp_edges or not _screen_fires(rg):
         return True, None
-    found = _find_free_path(rg) or _find_two_blocking_path(rg) or _find_cycle(rg)
+    search = _bfs if rg.inst.kind == "marriage" else _dfs
+    found = search(rg, (), rg.free, True, None)
     if found is None:
-        return True, None
-    return False, found
+        for head, roots, want_pp, closing in _blocking_searches(rg):
+            found = search(rg, head, roots, want_pp, closing)
+            if found is not None:
+                break
+    return found is None, found
+
+
+def _blocking_searches(rg):
+    """The searches after the one from the unmatched vertices, in order.
+
+    Each is (head, roots, want_pp, closing) and extends ``head + (root,)``:
+    from each blocking edge (a, b) with b matched, via M(b), to a second
+    blocking edge; then from each blocking edge (x, y) with both ends
+    matched, via M(y), back to M(x).
+    """
+    for x, y in rg.pp_edges:
+        for a, b in ((x, y), (y, x)):
+            if rg.partner[b] is not None:
+                yield (a, b), (rg.partner[b],), True, None
+    for x, y in rg.pp_edges:
+        mx, my = rg.partner[x], rg.partner[y]
+        if mx is not None and my is not None:
+            yield (x, y), (my,), False, mx
 
 
 def _screen_fires(rg: _RestrictedGraph) -> bool:
     """Walk-level screen; tripped by every forbidden structure."""
-    incident_pp = {u: any(pp for _, pp in rg.adj[u]) for u in rg.inst.vertices}
+    incident_pp = {u for e in rg.pp_edges for u in e}
 
     def reach(starts):
         seen = set(starts)
@@ -211,8 +245,7 @@ def _screen_fires(rg: _RestrictedGraph) -> bool:
                     stack.append(w)
         return seen
 
-    free = [u for u in rg.inst.vertices if rg.partner[u] is None]
-    if any(incident_pp[u] for u in reach(free)):
+    if any(u in incident_pp for u in reach(rg.free)):
         return True
 
     for x, y in rg.pp_edges:
@@ -276,13 +309,66 @@ def _screen_fires(rg: _RestrictedGraph) -> bool:
     return False
 
 
+def _bfs(rg, head, roots, want_pp, closing):
+    """Breadth-first search of the anchor digraph of a marriage instance.
+
+    Anchor u steps to w = M(v) over a restricted edge (u, v), and each
+    anchor is entered at most once; the head's first vertex never is.  All
+    anchors of one search lie on one side, so a tree path is a simple
+    alternating path.  Stops at the first anchor with a blocking edge when
+    ``want_pp`` (an edge back into the path closes a cycle there), or with
+    an edge to ``closing`` when given.
+    """
+    parent = dict.fromkeys(roots)
+    if head:
+        parent[head[0]] = None
+    queue = list(roots)
+    for u in queue:
+        for v, pp in rg.adj[u]:
+            if v == closing or (pp and want_pp):
+                back = [u]
+                while parent[u] is not None:
+                    u = parent[u]
+                    back += (rg.partner[back[-1]], u)
+                path = (*head, *reversed(back))
+                if v == closing:
+                    return ForbiddenStructure("cycle", (*path, v))
+                if v in path:
+                    return ForbiddenStructure("cycle", path[path.index(v) :])
+                return ForbiddenStructure("path", (*path, v))
+            w = rg.partner[v]
+            if w is not None and w not in parent:
+                parent[w] = u
+                queue.append(w)
+    return None
+
+
+def _dfs(rg, head, roots, want_pp, closing):
+    """Simple-path search from each root in turn (roommates instances).
+
+    Without sides, a simple anchor path may revisit a vertex as a non-anchor,
+    so the search tracks whole paths and is exponential in the worst case.
+    """
+    kind = "path" if closing is None else "cycle"
+    for root in roots:
+        path = [*head, root]
+        hit = _extend(rg, path, set(path), want_pp, closing)
+        if hit is not None:
+            return ForbiddenStructure(kind, hit)
+    return None
+
+
 def _extend(rg, path, in_path, want_pp, closing=None):
     """Depth-first extension over non-blocking steps from the last anchor.
 
     Fires on the first blocking edge to a fresh vertex when ``want_pp``,
     or on an edge back to ``closing`` when given.  Returns the completed
-    vertex tuple or None.
+    vertex tuple or None.  Raises ValueError past ``_DFS_NODE_BUDGET``
+    calls on one restricted graph.
     """
+    rg.nodes += 1
+    if rg.nodes > _DFS_NODE_BUDGET:
+        raise ValueError("popularity certificate search exceeded its node budget")
     u = path[-1]
     if closing is not None:
         for v, _ in rg.adj[u]:
@@ -307,39 +393,6 @@ def _extend(rg, path, in_path, want_pp, closing=None):
             return hit
         del path[-2:]
         in_path.difference_update((v, w))
-    return None
-
-
-def _find_free_path(rg):
-    for f in rg.inst.vertices:
-        if rg.partner[f] is not None:
-            continue
-        hit = _extend(rg, [f], {f}, want_pp=True)
-        if hit is not None:
-            return ForbiddenStructure("path", hit)
-    return None
-
-
-def _find_two_blocking_path(rg):
-    for x, y in rg.pp_edges:
-        for a, b in ((x, y), (y, x)):
-            w = rg.partner[b]
-            if w is None:
-                continue
-            hit = _extend(rg, [a, b, w], {a, b, w}, want_pp=True)
-            if hit is not None:
-                return ForbiddenStructure("path", hit)
-    return None
-
-
-def _find_cycle(rg):
-    for x, y in rg.pp_edges:
-        mx, my = rg.partner[x], rg.partner[y]
-        if mx is None or my is None:
-            continue
-        hit = _extend(rg, [x, y, my], {x, y, my}, want_pp=False, closing=mx)
-        if hit is not None:
-            return ForbiddenStructure("cycle", hit)
     return None
 
 
@@ -407,8 +460,7 @@ def is_dominant_structure(
 
 
 def _augmenting_bfs(rg):
-    free = [u for u in rg.inst.vertices if rg.partner[u] is None]
-    for f in free:
+    for f in rg.free:
         seen = {f}
         stack = [f]
         while stack:

@@ -6,16 +6,21 @@ and (for the structural test) roommates instances.
 """
 
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from popmatch import popularity
+from popmatch.cli import run
 from popmatch.election import delta
+from popmatch.engine import gale_shapley, solve_dominant
 from popmatch.gen import random_marriage, random_maximal_matching, random_roommates
-from popmatch.model import Matching, parse_instance
+from popmatch.model import Matching, parse_instance, parse_matching
 from popmatch.oracle import classify_exhaustive, enumerate_matchings
 from popmatch.popularity import (
+    ForbiddenStructure,
     check_structure,
     find_witness_small,
     is_dominant,
@@ -140,3 +145,123 @@ def test_bad_structure_rejected(fig1, m1):
 
     fake = ForbiddenStructure(kind="path", vertices=("a3", "b1", "a2", "b2"))
     assert not check_structure(fig1, m1, fake)
+
+
+def _diamond_ladder(k, kind="marriage"):
+    """An unpopular matching whose certificate a simple-path search finds late.
+
+    The free vertex f feeds layer 1; layer i holds the matched pairs
+    (ai_x, bi_x) for x = 1, 2, and both a's of layer i are joined to both
+    b's of layer i+1.  Each b prefers the previous layer's a's to its
+    partner, so no ladder edge blocks or is pruned and there are 2**k simple
+    paths from f.  A separate 4-cycle p-s-q-r carries the one blocking edge
+    (p, s).  Returns the instance text and the matching text.
+    """
+    aa, bb, lines, pairs = ["f"], [], ["f: b1_1 b1_2"], []
+    for i in range(1, k + 1):
+        for x in (1, 2):
+            a, b = f"a{i}_{x}", f"b{i}_{x}"
+            aa.append(a)
+            bb.append(b)
+            pairs.append(f"{a} {b}")
+            nxt = f" b{i + 1}_1 b{i + 1}_2" if i < k else ""
+            prev = f"a{i - 1}_1 a{i - 1}_2 " if i > 1 else ""
+            lines += [f"{a}: {b}{nxt}", f"{b}: {prev}{a}" + (" f" if i == 1 else "")]
+    aa += ["p", "q"]
+    bb += ["r", "s"]
+    lines += ["p: s r", "q: s r", "r: q p", "s: p q"]
+    pairs += ["p r", "q s"]
+    if kind == "marriage":
+        head = f"marriage\nA {' '.join(aa)}\nB {' '.join(bb)}\n"
+    else:
+        head = f"roommates\nV {' '.join(aa + bb)}\n"
+    return head + "\n".join(lines) + "\n", "\n".join(pairs) + "\n"
+
+
+def test_ladder_certificate_is_polynomial():
+    """125 vertices; an exhaustive simple-path search would visit 2**30 paths."""
+    start = time.perf_counter()
+    text, match = _diamond_ladder(30)
+    inst = parse_instance(text)
+    m = parse_matching(match, inst)
+    ok, cert = is_popular_structure(inst, m)
+    assert not ok
+    assert check_structure(inst, m, cert)
+    assert not is_dominant(inst, m)
+    assert time.perf_counter() - start < 2.0
+
+
+def test_roommates_search_budget(tmp_path, monkeypatch, capsys):
+    text, match = _diamond_ladder(4, kind="roommates")
+    inst = parse_instance(text)
+    m = parse_matching(match, inst)
+    ok, cert = is_popular_structure(inst, m)
+    assert not ok and cert == ForbiddenStructure("cycle", ("p", "s", "q", "r"))
+
+    monkeypatch.setattr(popularity, "_DFS_NODE_BUDGET", 10)
+    with pytest.raises(ValueError, match="popularity certificate search exceeded its node budget"):
+        is_popular_structure(inst, m)
+    (tmp_path / "ladder.inst").write_text(text)
+    (tmp_path / "ladder.match").write_text(match)
+    argv = ["verify", "--popular", str(tmp_path / "ladder.inst"), str(tmp_path / "ladder.match")]
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: popularity certificate search exceeded its node budget\n"
+
+
+def _swap_two_pairs(rng, inst, m):
+    """m with the partners of two matched pairs exchanged, when both new edges exist."""
+    pairs = list(m.edges)
+    rng.shuffle(pairs)
+    for (a1, b1), (a2, b2) in zip(pairs[::2], pairs[1::2]):
+        if inst.has_edge(a1, b2) and inst.has_edge(a2, b1):
+            rest = [e for e in pairs if e not in ((a1, b1), (a2, b2))]
+            return Matching(inst, rest + [(a1, b2), (a2, b1)])
+    return m
+
+
+def test_structure_test_agrees_with_weight_test_past_enumeration():
+    rng = random.Random(5)
+    kinds = set()
+    for _ in range(60):
+        na = rng.randint(6, 15)
+        nb = rng.randint(max(6, na - 2), min(15, na + 2))
+        inst = random_marriage(rng, na, nb, rng.uniform(0.3, 1.0))
+        stable, dominant = gale_shapley(inst), solve_dominant(inst)[0]
+        candidates = [stable, dominant]
+        candidates += [_swap_two_pairs(rng, inst, stable), _swap_two_pairs(rng, inst, dominant)]
+        candidates += [random_maximal_matching(rng, inst) for _ in range(4)]
+        for m in candidates:
+            ok, cert = is_popular_structure(inst, m)
+            assert ok is is_popular_weight(inst, m)
+            if not ok:
+                kinds.add(cert.kind)
+                assert check_structure(inst, m, cert), (inst, m, cert)
+    assert kinds == {"path", "cycle"}
+
+
+def test_free_search_closes_a_cycle():
+    """The path from the free f reaches a2, whose blocking edge returns to b1."""
+    inst = parse_instance(
+        "marriage\nA f a1 a2\nB b1 b2\n"
+        "f: b1\na1: b1 b2\na2: b1 b2\nb1: a2 a1 f\nb2: a1 a2\n"
+    )
+    m = parse_matching("a1 b1\na2 b2\n", inst)
+    ok, cert = is_popular_structure(inst, m)
+    assert not ok
+    assert cert == ForbiddenStructure("cycle", ("b1", "a1", "b2", "a2"))
+    assert check_structure(inst, m, cert)
+
+
+def test_two_blocking_search_closes_on_its_start():
+    """From blocking edge (a0, b1) the search reaches a2, whose blocking edge is back to b1."""
+    inst = parse_instance(
+        "marriage\nA a0 a1 a2\nB b0 b1 b2\n"
+        "a0: b1 b0\na1: b1 b2\na2: b1 b2\nb0: a0\nb1: a2 a0 a1\nb2: a1 a2\n"
+    )
+    m = parse_matching("a0 b0\na1 b1\na2 b2\n", inst)
+    ok, cert = is_popular_structure(inst, m)
+    assert not ok
+    assert cert == ForbiddenStructure("cycle", ("b1", "a1", "b2", "a2"))
+    assert check_structure(inst, m, cert)
