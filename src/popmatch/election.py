@@ -1,5 +1,5 @@
-"""Votes, edge labels, the pruned graph G_M, edge weights, and head-to-head
-election outcomes between two matchings.
+"""Votes, edge labels, edge weights, and head-to-head election outcomes
+between two matchings.
 
 Votes are integers: +1 means the vertex prefers the candidate to its current
 assignment, -1 the opposite.  An unmatched vertex prefers any neighbor
@@ -18,7 +18,6 @@ __all__ = [
     "EdgeWeighting",
     "vote",
     "label_edges",
-    "restricted_graph",
     "weighting",
     "delta",
 ]
@@ -57,9 +56,14 @@ def vote(inst: Instance, u: str, candidate: str, m: Matching) -> int:
     """
     if not inst.has_edge(u, candidate):
         raise ValueError(f"({u!r}, {candidate!r}) is not an instance edge")
-    p = m.partner(u)
-    if p == candidate:
+    if m.partner(u) == candidate:
         raise ValueError(f"{candidate!r} is the current partner of {u!r}")
+    return _vote(inst, u, candidate, m)
+
+
+def _vote(inst: Instance, u: str, candidate: str, m: Matching) -> int:
+    """``vote`` for an instance edge outside ``m``, unchecked."""
+    p = m.partner(u)
     if p is None:
         return 1
     return 1 if inst.ranks.prefers(u, candidate, p) else -1
@@ -72,21 +76,11 @@ def label_edges(inst: Instance, m: Matching) -> EdgeLabeling:
     for u, v in inst.edges:
         if (u, v) in m:
             continue
-        pair = (vote(inst, u, v, m), vote(inst, v, u, m))
+        pair = (_vote(inst, u, v, m), _vote(inst, v, u, m))
         labels[(u, v)] = pair
         if pair == (1, 1):
             blocking.add((u, v))
     return EdgeLabeling(labels, frozenset(blocking))
-
-
-def restricted_graph(inst: Instance, m: Matching) -> frozenset[tuple[str, str]]:
-    """Edges of the pruned graph: drop (-,-) edges, keep the matching."""
-    lab = label_edges(inst, m)
-    keep = set(m.edges)
-    for e, pair in lab.labels.items():
-        if pair != (-1, -1):
-            keep.add(e)
-    return frozenset(keep)
 
 
 def weighting(inst: Instance, m: Matching) -> EdgeWeighting:
@@ -95,7 +89,7 @@ def weighting(inst: Instance, m: Matching) -> EdgeWeighting:
         if (u, v) in m:
             edge[(u, v)] = 0
         else:
-            edge[(u, v)] = vote(inst, u, v, m) + vote(inst, v, u, m)
+            edge[(u, v)] = _vote(inst, u, v, m) + _vote(inst, v, u, m)
     loop = {v: (-1 if m.partner(v) is not None else 0) for v in inst.vertices}
     return EdgeWeighting(edge, loop)
 

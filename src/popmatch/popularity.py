@@ -1,8 +1,9 @@
 """Popularity and dominance tests plus witness utilities.
 
-Two independent popularity tests are provided.  The weight test (marriage
-instances only) maximizes the head-to-head weight of a rival matching via
-successive best-gain augmentations and compares the optimum against zero.
+Two independent popularity tests are provided.  The witness test (marriage
+instances only) solves the LP dual of the rival-weight maximization: m is
+popular iff some witness in {0, +-1} covers every edge weight, and those
+constraints are difference constraints that one Bellman-Ford settles.
 The structure test searches the restricted graph for one of the three
 forbidden patterns: an alternating cycle through a blocking edge, an
 alternating path through two blocking edges, and an alternating path from
@@ -62,90 +63,61 @@ def is_stable(inst: Instance, m: Matching) -> tuple[bool, tuple[str, str] | None
 
 
 # ---------------------------------------------------------------------------
-# weight test
+# witness test
 
 
 def is_popular_weight(inst: Instance, m: Matching) -> bool:
-    """Marriage-only popularity test by maximizing a rival's weight."""
-    inst.require_marriage("the weight test")
-    wt = weighting(inst, m)
-    base = sum(wt.loop.values())
-    profit = {
-        (a, b): wt.edge[(a, b)] - wt.loop[a] - wt.loop[b] for a, b in inst.edges
-    }
+    """Marriage-only popularity test: whether m has an LP-dual witness.
 
-    partner: dict[str, str] = {}
-    total = base
-    n = len(inst.vertices)
-    while True:
-        gain, path = _best_augmentation(inst, profit, partner, n)
-        if path is None or gain <= 0:
-            break
-        for a, b in path[::2]:
-            partner[a] = b
-            partner[b] = a
-        total += gain
-    if total < 0:
-        raise AssertionError("rival weight optimum below zero")
-    return total == 0
-
-
-def _best_augmentation(inst, profit, partner, n):
-    """Best-gain augmenting path for the current rival matching.
-
-    Longest-path relaxation over the residual orientation: unused edges go
-    A to B at their profit, used edges go back at minus theirs.  Free A
-    vertices are sources, free B vertices are sinks.  Relative to a
-    maximum-weight matching of its size there is no positive alternating
-    cycle, so n rounds suffice.
+    The witness LP is the dual of maximizing a rival matching's weight
+    under wt_M, so a witness exists iff no rival outvotes m.
     """
-    dist = {u: 0 if u not in partner else None for u in inst.side_a()}
-    dist.update({v: None for v in inst.side_b()})
-    via: dict[str, tuple[str, str, str]] = {}
+    inst.require_marriage("the weight test")
+    return _witness(inst, m) is not None
 
-    for rounds in range(n + 1):
+
+def _witness(inst: Instance, m: Matching) -> Witness | None:
+    """A witness for m on a marriage instance, or None when m is unpopular.
+
+    Unmatched vertices are 0 and matching edge i = (a_i, b_i) carries
+    alpha(a_i) = x_i, alpha(b_i) = -x_i, so each edge constraint is a
+    difference constraint over the x_i and a zero node z.  An arc p -> q of
+    cost c stands for x_q <= x_p + c: z and each x_i are joined both ways at
+    cost 1 for -1 <= x_i <= 1, and an edge (u, v) of weight need becomes an
+    arc from u's variable (or z) to v's (or z) of cost -need.  Bellman-Ford
+    from distance 0 everywhere settles within |M| rounds unless a negative
+    cycle shows that no witness exists.
+    """
+    wt = weighting(inst, m)
+    k = len(m)
+    var = {}
+    for i, (a, b) in enumerate(m.edges):
+        var[a] = var[b] = i
+    arcs = [(k, i, 1) for i in range(k)] + [(i, k, 1) for i in range(k)]
+    for (u, v), need in wt.edge.items():
+        i, j = var.get(u, k), var.get(v, k)
+        if i == j:  # a matching edge (need 0) or both ends unmatched (need 2)
+            if need > 0:
+                return None
+        elif need > -2:  # the bounds already imply need = -2
+            arcs.append((i, j, -need))
+
+    dist = [0] * (k + 1)
+    for _ in range(k + 1):
         changed = False
-        for a, b in inst.edges:
-            if partner.get(a) == b:
-                if dist[b] is not None and (
-                    dist[a] is None or dist[b] - profit[(a, b)] > dist[a]
-                ):
-                    dist[a] = dist[b] - profit[(a, b)]
-                    via[a] = (b, a, b)
-                    changed = True
-            else:
-                if dist[a] is not None and (
-                    dist[b] is None or dist[a] + profit[(a, b)] > dist[b]
-                ):
-                    dist[b] = dist[a] + profit[(a, b)]
-                    via[b] = (a, a, b)
-                    changed = True
+        for p, q, c in arcs:
+            if dist[p] + c < dist[q]:
+                dist[q] = dist[p] + c
+                changed = True
         if not changed:
             break
     else:
-        raise AssertionError("positive alternating cycle in rival search")
-
-    best = None
-    for v in inst.side_b():
-        if v in partner or dist[v] is None:
-            continue
-        if best is None or dist[v] > dist[best]:
-            best = v
-    if best is None:
-        return None, None
-
-    path = []
-    cur = best
-    for _ in range(2 * n):
-        if cur not in via:
-            break
-        prev, a, b = via[cur]
-        path.append((a, b))
-        cur = prev
-    else:
-        raise AssertionError("augmenting path reconstruction looped")
-    path.reverse()
-    return dist[best], path
+        return None
+    w: Witness = dict.fromkeys(inst.vertices, 0)
+    for i, (a, b) in enumerate(m.edges):
+        w[a] = dist[i] - dist[k]
+        w[b] = -w[a]
+    return w
 
 
 # ---------------------------------------------------------------------------
@@ -520,74 +492,12 @@ def verify_witness(
 
 
 def find_witness_small(inst: Instance, m: Matching, bound: int = 24) -> Witness | None:
-    """Backtracking witness search for instances of at most ``bound`` vertices.
+    """A witness for m, or None when m is unpopular (marriage instances).
 
-    Unmatched vertices are pinned to zero and each matching edge carries
-    opposite values, so the search space is one trit per matching edge.
-    Matching edges are tried in descending order of endpoint degree.
+    Solved by difference constraints in O(|M|·|E|) time; instances of more
+    than ``bound`` vertices are refused with ValueError.
     """
     inst.require_marriage("the witness search")
     if len(inst.vertices) > bound:
         raise ValueError(f"instance exceeds the {bound} vertex witness bound")
-    wt = weighting(inst, m)
-
-    edges = sorted(
-        m.edges,
-        key=lambda e: (-max(inst.degree(e[0]), inst.degree(e[1])), e),
-    )
-    var_of = {}
-    for i, (a, b) in enumerate(edges):
-        var_of[a] = (i, 1)
-        var_of[b] = (i, -1)
-
-    checks_at: list[list[tuple]] = [[] for _ in edges]
-    for e in inst.edges:
-        if e in m or wt.edge[e] == -2:
-            continue
-        u, v = e
-        need = wt.edge[e]
-        vu = var_of.get(u)
-        vv = var_of.get(v)
-        if vu is None and vv is None:
-            if 0 < need:
-                return None
-            continue
-        if vu is None or vv is None:
-            i, sign = vv if vu is None else vu
-            checks_at[i].append((i, sign, None, 0, need))
-        else:
-            i, si = vu
-            j, sj = vv
-            if i == j:
-                if si + sj != 0:
-                    raise AssertionError("endpoints share a matching edge")
-                continue
-            hi = max(i, j)
-            checks_at[hi].append((i, si, j, sj, need))
-
-    vals = [0] * len(edges)
-
-    def ok(i: int) -> bool:
-        for vi, si, vj, sj, need in checks_at[i]:
-            s = vals[vi] * si + (0 if vj is None else vals[vj] * sj)
-            if s < need:
-                return False
-        return True
-
-    def go(i: int) -> bool:
-        if i == len(edges):
-            return True
-        for t in (0, 1, -1):
-            vals[i] = t
-            if ok(i) and go(i + 1):
-                return True
-        vals[i] = 0
-        return False
-
-    if not go(0):
-        return None
-    w: Witness = {u: 0 for u in inst.vertices}
-    for i, (a, b) in enumerate(edges):
-        w[a] = vals[i]
-        w[b] = -vals[i]
-    return w
+    return _witness(inst, m)

@@ -16,8 +16,8 @@ from popmatch.classify import (
     to_nondominant_stable,
     to_unstable_dominant,
 )
-from popmatch.engine import build_gprime
-from popmatch.gen import chain_instance, random_marriage
+from popmatch.engine import build_gprime, gale_shapley, solve_dominant
+from popmatch.gen import chain_instance, random_marriage, random_maximal_matching
 from popmatch.oracle import classify_exhaustive
 from popmatch.popularity import (
     find_witness_small,
@@ -177,6 +177,44 @@ def test_transformations(seed, na, nb):
             s = to_nondominant_stable(inst, p, w)
             assert is_stable(inst, s)[0]
             assert not is_dominant(inst, s)
+
+
+def test_witnesses_and_transformations_past_enumeration():
+    """Witnesses and transformations on 12 to 30 vertices, past the oracle's reach.
+
+    On the stable, dominant, unstable-popular and random maximal matchings
+    of seeded instances, a witness exists exactly when the structure test
+    says popular, every witness verifies, and both transformations succeed
+    wherever they apply.
+    """
+    rng = random.Random(7)
+    counts = dict.fromkeys(("popular", "unpopular", "to_dominant", "to_stable"), 0)
+    for _ in range(150):
+        na = rng.randint(6, 15)
+        nb = rng.randint(max(6, na - 2), min(15, na + 2))
+        inst = random_marriage(rng, na, nb, rng.uniform(0.3, 1.0))
+        candidates = [gale_shapley(inst), solve_dominant(inst)[0], exists_unstable_popular(inst)]
+        candidates += [random_maximal_matching(rng, inst) for _ in range(4)]
+        for m in candidates:
+            if m is None:  # no unstable popular matching
+                continue
+            w = find_witness_small(inst, m, bound=len(inst.vertices))
+            assert (w is not None) is is_popular_structure(inst, m)[0], (inst, m)
+            if w is None:
+                counts["unpopular"] += 1
+                continue
+            counts["popular"] += 1
+            assert verify_witness(inst, m, w)[0], (inst, m, w)
+            if not is_stable(inst, m)[0]:
+                mstar, beta = to_unstable_dominant(inst, m, w)
+                assert is_dominant(inst, mstar) and not is_stable(inst, mstar)[0]
+                assert verify_witness(inst, mstar, beta)[0]
+                counts["to_dominant"] += 1
+            if not is_dominant(inst, m):
+                s = to_nondominant_stable(inst, m, w)
+                assert is_stable(inst, s)[0] and not is_dominant(inst, s)
+                counts["to_stable"] += 1
+    assert min(counts.values()) > 0, counts
 
 
 def test_transformations_reject_wrong_inputs(fig1, m1, m2):

@@ -1,4 +1,4 @@
-"""Vote semantics, edge labels, the pruned graph, weights, and elections.
+"""Vote semantics, edge labels, the pruning rule, weights, and elections.
 
 The fixed expected values come from exhaustively checking the six-vertex
 reference instance by hand; the property tests cross-check the closed-form
@@ -11,9 +11,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from popmatch.election import delta, label_edges, restricted_graph, vote, weighting
+from popmatch.election import delta, label_edges, vote, weighting
 from popmatch.gen import random_marriage, random_maximal_matching, random_roommates
 from popmatch.model import Matching
+from popmatch.popularity import _RestrictedGraph
 
 
 def test_vote_prefers_candidate(fig1, m1):
@@ -52,14 +53,23 @@ def test_labels_under_m2_blocking(fig1, m2):
 
 
 def test_restricted_graph_drops_minus_minus(fig1, m2):
-    keep = restricted_graph(fig1, m2)
-    # matching edges always survive
-    assert ("a1", "b2") in keep and ("a2", "b1") in keep
+    rg = _RestrictedGraph(fig1, m2)
+    keep = {fig1.canonical_edge(u, v) for u, nbrs in rg.adj.items() for v, _ in nbrs}
+    # matching edges are carried as partners, not as restricted edges
+    assert rg.partner["a1"] == "b2" and rg.partner["a2"] == "b1"
+    assert ("a1", "b2") not in keep and ("a2", "b1") not in keep
     # (a1, b3): a1 prefers b2 (its partner) to b3, b3 prefers a1 to nothing
     assert ("a1", "b3") in keep
+    # (a2, b2): each prefers its partner
+    assert ("a2", "b2") not in keep
     lab = label_edges(fig1, m2)
+    assert keep <= set(lab.labels)
     for e, (x, y) in lab.labels.items():
         assert (e in keep) == ((x, y) != (-1, -1))
+        # each kept edge is listed from both ends, flagged iff it blocks
+        u, v = e
+        assert ((v, e in lab.blocking) in rg.adj[u]) == (e in keep)
+        assert ((u, e in lab.blocking) in rg.adj[v]) == (e in keep)
 
 
 def test_weighting_values(fig1, m1):
