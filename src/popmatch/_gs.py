@@ -6,9 +6,8 @@ choices in preference order and ``crossrank`` the proposer's 0-based rank in
 the responder's own list, so acceptance is a single integer comparison.
 
 Free proposers are processed lowest id first (a priority queue), each walking
-down its list until accepted or exhausted.  Constrained runs support
+down its list until accepted or exhausted.  Runs support
 
-  * per-slot skips (a responder refuses one proposer outright),
   * responder cutoffs (only proposers ranked strictly better than the cutoff
     are acceptable),
   * start offsets (a proposer begins partway down its list), and
@@ -53,7 +52,6 @@ class BipartiteView:
     off: list[int]          # len P+1, slice bounds into adj
     adj: list[int]          # responder ids, preference order per proposer
     crossrank: list[int]    # proposer's 0-based rank in the responder's list
-    resp_deg: list[int]
 
     def matching(self, inst: Instance, prop_partner: list[int]) -> Matching:
         """The matching of ``inst`` (this view's instance) in a partner array; -1 is unmatched."""
@@ -92,7 +90,6 @@ def compile_view(inst: Instance) -> BipartiteView:
         off=off,
         adj=adj,
         crossrank=crossrank,
-        resp_deg=[inst.degree(r) for r in resp_ids],
     )
     inst._prop_view = view  # instances are immutable, so the view is too
     return view
@@ -111,10 +108,9 @@ def run_proposals(
     view: BipartiteView,
     start_rel: dict[int, int] | None = None,
     cutoff: dict[int, int] | None = None,
-    skip_abs: frozenset[int] | None = None,
     seeds: list[tuple[int, int]] | None = None,
 ) -> ProposalResult:
-    """Reference implementation of the constrained proposal loop."""
+    """Reference implementation of the proposal loop."""
     off, adj, crossrank = view.off, view.adj, view.crossrank
     P = len(view.prop_ids)
     R = len(view.resp_ids)
@@ -146,7 +142,6 @@ def run_proposals(
     heap = [p for p in range(P) if p not in seeded]
     heapq.heapify(heap)
     proposals = 0
-    skip = skip_abs or frozenset()
 
     while heap:
         p = heapq.heappop(heap)
@@ -154,9 +149,6 @@ def run_proposals(
         end = off[p + 1]
         while pos < end:
             proposals += 1
-            if pos in skip:
-                pos += 1
-                continue
             r = adj[pos]
             cr = crossrank[pos]
             if cr >= cut[r] or cr >= cur_rank[r]:

@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import _gs
-from .engine import ProposalConstraints, build_gprime, gale_shapley
+from .engine import build_gprime, gale_shapley
 from .model import Instance, Matching
 from .popularity import Witness, is_dominant, is_stable, verify_witness
 
@@ -97,7 +97,7 @@ def to_unstable_dominant(
     seed = Matching(
         gp0.instance, [(gp0.plus[a], gp0.minus[b]) for a, b in dec.m0]
     )
-    m_exp = gale_shapley(gp0.instance, ProposalConstraints(seed=seed))
+    m_exp = gale_shapley(gp0.instance, seed)
     d = gp0.project(m_exp)
     mstar = Matching(inst, list(dec.m1) + list(d.edges))
     beta = {u: w[u] for u in inst.vertices if u not in zero}
@@ -119,7 +119,7 @@ def to_nondominant_stable(inst: Instance, m: Matching, w: Witness) -> Matching:
     seed = Matching(
         g1, [(a, b) for a, b in dec.m1 if a in dec.a_minus1]
     )
-    s = gale_shapley(g1, ProposalConstraints(seed=seed))
+    s = gale_shapley(g1, seed)
     return Matching(inst, list(dec.m0) + list(s.edges))
 
 

@@ -1,15 +1,14 @@
-"""Constrained proposals, the three-copy expansion, and dominant matchings.
+"""Seeded proposals, the three-copy expansion, and dominant matchings.
 
 ``gale_shapley`` runs the deferred-acceptance loop with side A proposing.
 Free proposers are processed lowest id first and each walks down its list,
-so runs are fully deterministic.  Without constraints the output is the
-proposer-optimal stable matching.  Constraints can forbid proposals, impose
-responder cutoffs, and seed a starting matching; a seeded pair dissolves
-only when the responder receives an offer it prefers, and the dumped
-proposer then starts proposing from the top of its list.  With a seed the
-stability guarantee is the seeded protocol itself, not stability in
-general; the two seeded runs used by the transformation algorithms are
-stable by construction and the tests check exactly those.
+so runs are fully deterministic.  Unseeded, the output is the
+proposer-optimal stable matching.  A run may start from a seed matching; a
+seeded pair dissolves only when the responder receives an offer it
+prefers, and the dumped proposer then starts proposing from the top of its
+list.  With a seed the stability guarantee is the seeded protocol itself,
+not stability in general; the two seeded runs used by the transformation
+algorithms are stable by construction and the tests check exactly those.
 
 ``build_gprime`` materializes the bidirected view of a marriage instance as
 an ordinary marriage instance on three vertices per original vertex: the
@@ -23,13 +22,12 @@ and which copy of a vertex is matched encodes its witness value.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import _gs
 from .model import Instance, Matching
 
 __all__ = [
-    "ProposalConstraints",
     "GPrime",
     "gale_shapley",
     "build_gprime",
@@ -38,69 +36,18 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ProposalConstraints:
-    """Seed matching plus rejection rules for a proposal run.
+def gale_shapley(inst: Instance, seed: Matching | None = None) -> Matching:
+    """Deferred acceptance with side A proposing, starting from ``seed``.
 
-    Each rule is a triple ``(proposer, responder, min_acceptable_rank)``:
-
-    * ``(p, r, None)``: r rejects p outright.
-    * ``(None, r, k)``: r rejects every proposer it ranks worse than k
-      (ranks are 1-based, 1 is r's favorite).
-    * ``(p, r, k)``: r rejects p if it ranks p worse than k.
-    """
-
-    seed: Matching | None = None
-    forbidden: frozenset[tuple[str | None, str, int | None]] = field(
-        default_factory=frozenset
-    )
-
-
-def _compile_constraints(inst: Instance, view: _gs.BipartiteView, c: ProposalConstraints):
-    skip: set[int] = set()
-    cutoff: dict[int, int] = {}
-    for rule in sorted(c.forbidden, key=repr):
-        p, r, k = rule
-        if r not in view.resp_index:
-            raise ValueError(f"rule responder {r!r} is not a responding vertex")
-        ri = view.resp_index[r]
-        if p is None:
-            if k is None:
-                raise ValueError("rule (None, r, None) is meaningless")
-            cutoff[ri] = min(cutoff.get(ri, _gs.BIG), max(k, 0))
-            continue
-        if p not in view.prop_index:
-            raise ValueError(f"rule proposer {p!r} is not a proposing vertex")
-        if not inst.has_edge(p, r):
-            raise ValueError(f"rule pair ({p!r}, {r!r}) is not an edge")
-        if k is not None and inst.ranks.rank(r, p) <= k:
-            continue
-        pi = view.prop_index[p]
-        pos = view.off[pi] + inst.prefs[p].index(r)
-        skip.add(pos)
-
-    seeds: list[tuple[int, int]] = []
-    if c.seed is not None:
-        if c.seed.instance is not inst and c.seed.instance != inst:
-            raise ValueError("seed matching belongs to a different instance")
-        for a, b in c.seed.edges:
-            seeds.append((view.prop_index[a], view.resp_index[b]))
-    return frozenset(skip), cutoff, seeds
-
-
-def gale_shapley(inst: Instance, c: ProposalConstraints | None = None) -> Matching:
-    """Deferred acceptance with side A proposing, honoring ``c``.
-
-    Unconstrained, the result is the proposer-optimal stable matching.  With
-    rejection rules it is stable in the instance with the forbidden
-    proposals removed, and proposer-optimal there.
+    Unseeded, the result is the proposer-optimal stable matching.
     """
     view = _gs.compile_view(inst)
-    if c is None:
-        res = _gs.run_proposals(view)
-    else:
-        skip, cutoff, seeds = _compile_constraints(inst, view, c)
-        res = _gs.run_proposals(view, cutoff=cutoff or None, skip_abs=skip or None, seeds=seeds or None)
+    seeds = None
+    if seed is not None:
+        if seed.instance is not inst and seed.instance != inst:
+            raise ValueError("seed matching belongs to a different instance")
+        seeds = [(view.prop_index[a], view.resp_index[b]) for a, b in seed.edges]
+    res = _gs.run_proposals(view, seeds=seeds)
     return view.matching(inst, res.prop_partner)
 
 

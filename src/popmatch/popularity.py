@@ -7,20 +7,20 @@ constraints are difference constraints that one Bellman-Ford settles.
 The structure test searches the restricted graph for one of the three
 forbidden patterns: an alternating cycle through a blocking edge, an
 alternating path through two blocking edges, and an alternating path from
-an unmatched vertex through a blocking edge.  A fast walk-level screen
-rules out all three for most popular inputs; when the screen fires, a
-search settles the answer and produces the certificate: linear
-breadth-first searches of the anchor digraph on marriage instances, and a
-depth-first simple-path search under a node budget on roommates instances.
-The screen is complete (every forbidden pattern trips it), so a clean
-screen already proves popularity, for roommates instances too.
+an unmatched vertex through a blocking edge.  Linear breadth-first
+searches of the anchor digraph look for them on both instance kinds.  On
+marriage instances they are exact, and their hit is the certificate.  On
+roommates instances a hit is only an alternating walk, but every forbidden
+pattern is a walk they follow, so no hit proves popularity; after a hit a
+depth-first simple-path search under a node budget settles the answer and
+produces the certificate.
 """
 
 from __future__ import annotations
 
 from typing import NamedTuple
 
-from .election import label_edges, vote, weighting
+from .election import _vote, label_edges, weighting
 from .model import Instance, Matching
 
 __all__ = [
@@ -57,7 +57,7 @@ def is_stable(inst: Instance, m: Matching) -> tuple[bool, tuple[str, str] | None
     for u, v in inst.edges:
         if (u, v) in m:
             continue
-        if vote(inst, u, v, m) > 0 and vote(inst, v, u, m) > 0:
+        if _vote(inst, u, v, m) > 0 and _vote(inst, v, u, m) > 0:
             return False, (u, v)
     return True, None
 
@@ -171,26 +171,32 @@ def is_popular_structure(
 
 
 def _structure_test(rg: _RestrictedGraph) -> tuple[bool, ForbiddenStructure | None]:
-    if not rg.pp_edges or not _screen_fires(rg):
+    if not rg.pp_edges:
         return True, None
-    search = _bfs if rg.inst.kind == "marriage" else _dfs
-    found = search(rg, (), rg.free, True, None)
-    if found is None:
-        for head, roots, want_pp, closing in _blocking_searches(rg):
-            found = search(rg, head, roots, want_pp, closing)
-            if found is not None:
-                break
+    found = _first_found(rg, _bfs)
+    if found is not None and rg.inst.kind == "roommates":
+        found = _first_found(rg, _dfs)
     return found is None, found
 
 
-def _blocking_searches(rg):
-    """The searches after the one from the unmatched vertices, in order.
+def _first_found(rg, search):
+    """The first structure ``search`` finds from ``_search_starts``, or None."""
+    for head, roots, want_pp, closing in _search_starts(rg):
+        found = search(rg, head, roots, want_pp, closing)
+        if found is not None:
+            return found
+    return None
+
+
+def _search_starts(rg):
+    """The three searches' starts, in order.
 
     Each is (head, roots, want_pp, closing) and extends ``head + (root,)``:
-    from each blocking edge (a, b) with b matched, via M(b), to a second
-    blocking edge; then from each blocking edge (x, y) with both ends
-    matched, via M(y), back to M(x).
+    from all unmatched vertices to a blocking edge; from each blocking edge
+    (a, b) with b matched, via M(b), to a second blocking edge; then from
+    each blocking edge (x, y) with both ends matched, via M(y), back to M(x).
     """
+    yield (), rg.free, True, None
     for x, y in rg.pp_edges:
         for a, b in ((x, y), (y, x)):
             if rg.partner[b] is not None:
@@ -201,95 +207,18 @@ def _blocking_searches(rg):
             yield (x, y), (my,), False, mx
 
 
-def _screen_fires(rg: _RestrictedGraph) -> bool:
-    """Walk-level screen; tripped by every forbidden structure."""
-    incident_pp = {u for e in rg.pp_edges for u in e}
-
-    def reach(starts):
-        seen = set(starts)
-        stack = list(starts)
-        while stack:
-            u = stack.pop()
-            for v, _ in rg.adj[u]:
-                w = rg.partner[v]
-                if w is not None and w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return seen
-
-    if any(u in incident_pp for u in reach(rg.free)):
-        return True
-
-    for x, y in rg.pp_edges:
-        starts = [rg.partner[z] for z in (x, y) if rg.partner[z] is not None]
-        for u in reach(starts):
-            for v, pp in rg.adj[u]:
-                if pp and rg.inst.canonical_edge(u, v) != (x, y):
-                    return True
-
-    # strongly connected components of the anchor digraph
-    index: dict[str, int] = {}
-    low: dict[str, int] = {}
-    comp: dict[str, int] = {}
-    counter = [0, 0]
-    for root in rg.inst.vertices:
-        if rg.partner[root] is None or root in index:
-            continue
-        work = [(root, iter(rg.adj[root]))]
-        index[root] = low[root] = counter[0]
-        counter[0] += 1
-        trail = [root]
-        on_trail = {root}
-        while work:
-            u, it = work[-1]
-            advanced = False
-            for v, _ in it:
-                w = rg.partner[v]
-                if w is None:
-                    continue
-                if w not in index:
-                    index[w] = low[w] = counter[0]
-                    counter[0] += 1
-                    trail.append(w)
-                    on_trail.add(w)
-                    work.append((w, iter(rg.adj[w])))
-                    advanced = True
-                    break
-                if w in on_trail:
-                    low[u] = min(low[u], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if low[u] == index[u]:
-                while True:
-                    w = trail.pop()
-                    on_trail.discard(w)
-                    comp[w] = counter[1]
-                    if w == u:
-                        break
-                counter[1] += 1
-            if work:
-                p = work[-1][0]
-                low[p] = min(low[p], low[u])
-    for x, y in rg.pp_edges:
-        for u, v in ((x, y), (y, x)):
-            w = rg.partner[v]
-            if w is None or rg.partner[u] is None:
-                continue
-            if comp.get(u) is not None and comp.get(u) == comp.get(w):
-                return True
-    return False
-
-
 def _bfs(rg, head, roots, want_pp, closing):
-    """Breadth-first search of the anchor digraph of a marriage instance.
+    """Breadth-first search of the anchor digraph.
 
     Anchor u steps to w = M(v) over a restricted edge (u, v), and each
-    anchor is entered at most once; the head's first vertex never is.  All
-    anchors of one search lie on one side, so a tree path is a simple
-    alternating path.  Stops at the first anchor with a blocking edge when
-    ``want_pp`` (an edge back into the path closes a cycle there), or with
-    an edge to ``closing`` when given.
+    anchor is entered at most once; the head's first vertex never is.  Stops
+    at the first anchor with a blocking edge when ``want_pp`` (an edge back
+    into the path closes a cycle there), or with an edge to ``closing`` when
+    given.  On a marriage instance all anchors of one search lie on one
+    side, so a tree path is a simple alternating path and the hit is a
+    certificate.  On a roommates instance the tree path may repeat a vertex,
+    so a hit is only a walk; but whenever ``_dfs`` finds a structure from
+    the same start, this search hits too.
     """
     parent = dict.fromkeys(roots)
     if head:

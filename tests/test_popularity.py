@@ -265,3 +265,17 @@ def test_two_blocking_search_closes_on_its_start():
     assert not ok
     assert cert == ForbiddenStructure("cycle", ("b1", "a1", "b2", "a2"))
     assert check_structure(inst, m, cert)
+
+
+def test_roommates_walk_hit_on_a_popular_matching():
+    """The breadth-first walk search hits, yet no simple structure exists."""
+    inst = parse_instance(
+        "roommates\nV v1 v2 v3 v4\n"
+        "v1: v4 v3 v2\nv2: v1 v3\nv3: v1 v4 v2\nv4: v1 v3\n"
+    )
+    m = parse_matching("v1 v2\nv3 v4\n", inst)
+    rg = popularity._RestrictedGraph(inst, m)
+    assert sorted(rg.pp_edges) == [("v1", "v3"), ("v1", "v4")]
+    assert popularity._first_found(rg, popularity._bfs) is not None
+    assert is_popular_structure(inst, m) == (True, None)
+    assert m in classify_exhaustive(inst).popular
