@@ -70,17 +70,14 @@ def compile_view(inst: Instance) -> BipartiteView:
     resp_ids = list(inst.side_b())
     prop_index = {v: i for i, v in enumerate(prop_ids)}
     resp_index = {v: i for i, v in enumerate(resp_ids)}
-    rank_in_resp: dict[tuple[str, str], int] = {}
-    for r in resp_ids:
-        for k, p in enumerate(inst.prefs[r]):
-            rank_in_resp[(r, p)] = k
+    rank = inst.ranks.rank
     off = [0]
     adj: list[int] = []
     crossrank: list[int] = []
     for p in prop_ids:
         for r in inst.prefs[p]:
             adj.append(resp_index[r])
-            crossrank.append(rank_in_resp[(r, p)])
+            crossrank.append(rank(r, p) - 1)
         off.append(len(adj))
     view = BipartiteView(
         prop_ids=prop_ids,

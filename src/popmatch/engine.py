@@ -18,6 +18,12 @@ dummy first and then the outgoing copies; the dummy prefers ``u+`` to
 ``u-``.  Each original edge (a,b) appears as (a+,b-) and (a-,b+).  Stable
 matchings of the expansion project to dominant matchings of the original,
 and which copy of a vertex is matched encodes its witness value.
+
+The expansion of a valid instance is valid by construction, so it is built
+without re-running the instance checks.  Copy names cannot collide: a valid
+identifier has no whitespace, ``:`` or ``#``, so neither do its copies, and
+``u+``, ``u-`` and ``d(u)`` end in three distinct characters, each copy
+kind being one-to-one in ``u``.
 """
 
 from __future__ import annotations
@@ -95,7 +101,7 @@ def build_gprime(inst: Instance) -> GPrime:
     inst.require_marriage("the expansion")
     cached = getattr(inst, "_gprime", None)
     if cached is not None:
-        return cached
+        return GPrime(inst, *cached)
 
     plus = {u: f"{u}+" for u in inst.vertices}
     minus = {u: f"{u}-" for u in inst.vertices}
@@ -125,18 +131,17 @@ def build_gprime(inst: Instance) -> GPrime:
         prefs[minus[u]] = [dummy[u]] + [plus[v] for v in nbrs]
         prefs[dummy[u]] = [plus[u], minus[u]]
 
-    gpi = Instance("marriage", vertices, prefs, side)
+    gpi = Instance._checked("marriage", vertices, prefs, side)
 
     edge_origin: dict[tuple[str, str], tuple[tuple[str, str], str]] = {}
-    for a, b in inst.edges:
-        e_plus = gpi.canonical_edge(plus[a], minus[b])
-        e_minus = gpi.canonical_edge(minus[a], plus[b])
-        edge_origin[e_plus] = ((a, b), "+")
-        edge_origin[e_minus] = ((a, b), "-")
+    for a, b in inst.edges:  # a is on side A, and so are its copies
+        edge_origin[(plus[a], minus[b])] = ((a, b), "+")
+        edge_origin[(minus[a], plus[b])] = ((a, b), "-")
 
-    gp = GPrime(inst, gpi, plus, minus, dummy, edge_origin)
-    inst._gprime = gp
-    return gp
+    # The cache holds no reference back to ``inst``: a cycle would keep
+    # every expanded instance alive until the cyclic garbage collector ran.
+    inst._gprime = (gpi, plus, minus, dummy, edge_origin)
+    return GPrime(inst, gpi, plus, minus, dummy, edge_origin)
 
 
 def solve_dominant(inst: Instance) -> tuple[Matching, dict[str, int]]:

@@ -16,6 +16,12 @@ Identifiers are kept as strings; dense integer ids are assigned in file order
 and exposed through :attr:`Instance.index` for algorithmic code.  Instances
 and matchings are immutable after construction and all functions here are
 pure.
+
+Each instance is validated once.  The public ``Instance(...)`` runs every
+check; ``parse_instance`` makes the same checks with line and column and
+then builds through the private ``Instance._checked``, which runs only the
+derivation.  That constructor is for callers whose input is valid already:
+the parser, the three-copy expansion and :meth:`Instance.restrict`.
 """
 
 from __future__ import annotations
@@ -96,7 +102,11 @@ class Instance:
     ranks:     a :class:`RankIndex` over ``prefs``.
 
     The constructor validates symmetry of adjacency, absence of duplicates
-    and self-loops, and (for marriage) that every edge crosses sides.
+    and self-loops, and (for marriage) that every edge crosses sides, then
+    derives the attributes in ``_derive``.  The private classmethod
+    ``_checked`` runs only that derivation; it is for callers that have
+    already checked their input, and an invalid input gives an invalid
+    instance rather than an error.
     """
 
     def __init__(
@@ -114,29 +124,24 @@ class Instance:
         elif side is not None:
             raise ValueError("roommates instance takes no side tags")
 
-        self.kind = kind
-        self.vertices: tuple[str, ...] = tuple(vertices)
+        verts = tuple(vertices)
         seen: set[str] = set()
-        for v in self.vertices:
+        for v in verts:
             _check_id(v)
             if v in seen:
                 raise ValueError(f"duplicate vertex {v!r}")
             seen.add(v)
 
         if side is not None:
-            self.side: dict[str, str] | None = dict(side)
-            if set(self.side) != seen or any(s not in ("A", "B") for s in self.side.values()):
+            if set(side) != seen or any(s not in ("A", "B") for s in side.values()):
                 raise ValueError("side tags must cover exactly the vertex set with A/B")
-        else:
-            self.side = None
 
-        self.prefs: dict[str, tuple[str, ...]] = {v: () for v in self.vertices}
-        for u, lst in prefs.items():
+        for u in prefs:
             if u not in seen:
                 raise ValueError(f"preference list for unknown vertex {u!r}")
-            self.prefs[u] = tuple(lst)
+        lists = {v: tuple(prefs.get(v, ())) for v in verts}
 
-        for u, lst in self.prefs.items():
+        for u, lst in lists.items():
             listed: set[str] = set()
             for v in lst:
                 if v not in seen:
@@ -146,28 +151,66 @@ class Instance:
                 if v in listed:
                     raise ValueError(f"{u!r} lists {v!r} twice")
                 listed.add(v)
-                if self.side is not None and self.side[u] == self.side[v]:
+                if side is not None and side[u] == side[v]:
                     raise ValueError(f"edge ({u!r}, {v!r}) does not cross sides")
 
-        for u, lst in self.prefs.items():
+        self._derive(kind, verts, lists, side)
+
+        adj = self.adj
+        for u, lst in lists.items():
             for v in lst:
-                if u not in self.prefs[v]:
+                if u not in adj[v]:
                     raise ValueError(f"asymmetric adjacency: {u!r} lists {v!r} but not back")
 
+    @classmethod
+    def _checked(
+        cls,
+        kind: str,
+        vertices: Sequence[str],
+        prefs: Mapping[str, Sequence[str]],
+        side: Mapping[str, str] | None = None,
+    ) -> "Instance":
+        """An instance from input the caller has already validated.
+
+        Private.  Runs the derivation of :meth:`__init__` without its
+        checks, so the input must pass every one of them: callers are the
+        parser (which makes the same checks with positions), the three-copy
+        expansion and :meth:`restrict` (valid by construction).
+        """
+        inst = cls.__new__(cls)
+        inst._derive(kind, vertices, prefs, side)
+        return inst
+
+    def _derive(
+        self,
+        kind: str,
+        vertices: Sequence[str],
+        prefs: Mapping[str, Sequence[str]],
+        side: Mapping[str, str] | None,
+    ) -> None:
+        """Set every attribute from valid input; the one derivation path."""
+        self.kind = kind
+        self.vertices: tuple[str, ...] = tuple(vertices)
+        self.side: dict[str, str] | None = dict(side) if side is not None else None
+        self.prefs: dict[str, tuple[str, ...]] = {
+            v: tuple(prefs.get(v, ())) for v in self.vertices
+        }
         self.index: dict[str, int] = {v: i for i, v in enumerate(self.vertices)}
         self.ranks = RankIndex(self.prefs)
         self.adj: dict[str, frozenset[str]] = {
             u: frozenset(lst) for u, lst in self.prefs.items()
         }
 
+        # Adjacency is symmetric, so each edge is first seen while scanning
+        # its lower-index endpoint.
+        index = self.index
+        sides = self.side
         order: list[tuple[str, str]] = []
-        done: set[frozenset[str]] = set()
-        for u in self.vertices:
-            for v in self.prefs[u]:
-                key = frozenset((u, v))
-                if key not in done:
-                    done.add(key)
-                    order.append(self.canonical_edge(u, v))
+        for u, lst in self.prefs.items():
+            iu = index[u]
+            for v in lst:
+                if iu < index[v]:
+                    order.append((u, v) if sides is None or sides[u] == "A" else (v, u))
         self.edges: tuple[tuple[str, str], ...] = tuple(order)
 
     # -- convenience -------------------------------------------------------
@@ -208,7 +251,7 @@ class Instance:
         verts = [v for v in self.vertices if v in keepset]
         prefs = {u: [v for v in self.prefs[u] if v in keepset] for u in verts}
         side = {v: self.side[v] for v in verts} if self.side is not None else None
-        return Instance(self.kind, verts, prefs, side)
+        return Instance._checked(self.kind, verts, prefs, side)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Instance):
@@ -353,6 +396,7 @@ def parse_instance(text: str) -> Instance:
     vset = set(vertices)
 
     prefs: dict[str, list[str]] = {}
+    nbr_sets: dict[str, set[str]] = {}
     owner_line: dict[str, int] = {}
     for ln, body, toks in lines[pos:]:
         cut = body.find(":")
@@ -384,17 +428,19 @@ def parse_instance(text: str) -> Instance:
             listed.add(v)
             lst.append(v)
         prefs[u] = lst
+        nbr_sets[u] = listed
         owner_line[u] = ln
 
     for u, lst in prefs.items():
         for v in lst:
-            if u not in prefs.get(v, ()):
+            if u not in nbr_sets.get(v, ()):
                 raise ParseError(
                     f"asymmetric adjacency: {u!r} lists {v!r} but not back",
                     owner_line[u],
                 )
 
-    return Instance(kind, vertices, prefs, side)
+    # The checks above cover every check of Instance.__init__.
+    return Instance._checked(kind, vertices, prefs, side)
 
 
 def serialize_instance(inst: Instance) -> str:
