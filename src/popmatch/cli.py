@@ -14,8 +14,9 @@ One executable, seven subcommands::
 
 Exit codes: 0 for "yes"/success, 1 for a "no" decision, 2 for usage or
 validation errors.  ``--json`` switches any subcommand to line-delimited
-JSON objects.  The POPMATCH_CAP environment variable overrides the
-exhaustive-enumeration vertex cap.
+JSON objects.  The POPMATCH_CAP environment variable overrides the default
+vertex cap (20) of ``oracle`` only; ``classify --exhaustive`` ignores it and
+takes ``--cap`` (default 16).
 """
 
 from __future__ import annotations
@@ -396,11 +397,8 @@ def _verify_reduction(
         return ok, "SAT ⇒ stable∧dominant matching exists"
     if target == "g4max":
         m = Matching(final, list(ma) + [("p0", "q0"), ("p1", "q1")])
-        ok = (
-            is_popular_structure(final, m)[0]
-            and not is_dominant(final, m)
-            and len(m) == len(solve_dominant(final)[0])
-        )
+        dominant, cert = is_dominant_structure(final, m)
+        ok = cert is None and not dominant and len(m) == len(solve_dominant(final)[0])
         return ok, "SAT ⇒ non-dominant max-size popular matching exists"
     if target == "hmin":
         m = Matching(final, list(ma) + [("r", "t"), ("rp", "tp")])

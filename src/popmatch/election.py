@@ -2,9 +2,11 @@
 between two matchings.
 
 Votes are integers: +1 means the vertex prefers the candidate to its current
-assignment, -1 the opposite.  An unmatched vertex prefers any neighbor
-(being unmatched is strictly worst).  ``delta(inst, m, n)`` is the number of
-vertices preferring ``m`` minus the number preferring ``n``.
+assignment, -1 the opposite.  One rule gives them all: with c(u) the rank of
+u's partner in M, or deg(u) + 1 when u is unmatched (``_partner_ranks``), u
+votes +1 for a neighbor v other than M(u) exactly when rank(u, v) < c(u), so
+an unmatched vertex prefers any neighbor.  ``delta(inst, m, n)`` is the
+number of vertices preferring ``m`` minus the number preferring ``n``.
 """
 
 from __future__ import annotations
@@ -58,38 +60,40 @@ def vote(inst: Instance, u: str, candidate: str, m: Matching) -> int:
         raise ValueError(f"({u!r}, {candidate!r}) is not an instance edge")
     if m.partner(u) == candidate:
         raise ValueError(f"{candidate!r} is the current partner of {u!r}")
-    return _vote(inst, u, candidate, m)
+    return 1 if inst.ranks.rank(u, candidate) < _partner_ranks(inst, m)[u] else -1
 
 
-def _vote(inst: Instance, u: str, candidate: str, m: Matching) -> int:
-    """``vote`` for an instance edge outside ``m``, unchecked."""
-    p = m.partner(u)
-    if p is None:
-        return 1
-    return 1 if inst.ranks.prefers(u, candidate, p) else -1
+def _partner_ranks(inst: Instance, m: Matching) -> dict[str, int]:
+    """c(u) = rank(u, M(u)), or deg(u) + 1 for a vertex unmatched in ``m``."""
+    rank = inst.ranks.rank
+    c = {u: len(lst) + 1 for u, lst in inst.prefs.items()}
+    for a, b in m.edges:
+        c[a], c[b] = rank(a, b), rank(b, a)
+    return c
 
 
 def label_edges(inst: Instance, m: Matching) -> EdgeLabeling:
     """Vote pairs for every edge outside ``m``; (+,+) edges block ``m``."""
+    c = _partner_ranks(inst, m)
+    rank = inst.ranks.rank
     labels: dict[tuple[str, str], tuple[int, int]] = {}
-    blocking: set[tuple[str, str]] = set()
     for u, v in inst.edges:
-        if (u, v) in m:
-            continue
-        pair = (_vote(inst, u, v, m), _vote(inst, v, u, m))
-        labels[(u, v)] = pair
-        if pair == (1, 1):
-            blocking.add((u, v))
-    return EdgeLabeling(labels, frozenset(blocking))
+        ru = rank(u, v)
+        if ru != c[u]:
+            labels[(u, v)] = (1 if ru < c[u] else -1, 1 if rank(v, u) < c[v] else -1)
+    return EdgeLabeling(labels, frozenset(e for e, pair in labels.items() if pair == (1, 1)))
 
 
 def weighting(inst: Instance, m: Matching) -> EdgeWeighting:
+    c = _partner_ranks(inst, m)
+    rank = inst.ranks.rank
     edge: dict[tuple[str, str], int] = {}
     for u, v in inst.edges:
-        if (u, v) in m:
+        ru = rank(u, v)
+        if ru == c[u]:
             edge[(u, v)] = 0
         else:
-            edge[(u, v)] = _vote(inst, u, v, m) + _vote(inst, v, u, m)
+            edge[(u, v)] = (1 if ru < c[u] else -1) + (1 if rank(v, u) < c[v] else -1)
     loop = {v: (-1 if m.partner(v) is not None else 0) for v in inst.vertices}
     return EdgeWeighting(edge, loop)
 

@@ -9,7 +9,9 @@ module; it must stay free of any code from ``popularity``.
 
 The stable-matching enumerator is the one non-naive resident: it prunes on
 definitely-blocking edges so that it can cope with the large gadget
-instances, but it still enumerates exactly the stable set.
+instances, but it still enumerates exactly the stable set.  Its state is the
+partner-rank table of ``election`` restricted to the vertices fixed so far,
+and it reads every vote off that table by the same rule.
 """
 
 from __future__ import annotations
@@ -74,33 +76,33 @@ def enumerate_matchings(inst: Instance, cap: int | None = None) -> Iterator[Matc
         raise ValueError(
             f"instance has {len(inst.vertices)} vertices, enumeration cap is {cap}"
         )
-    edges = inst.edges
-    used: set[str] = set()
-    chosen: list[tuple[str, str]] = []
+    return _extensions(inst, 0, set(), [])
 
-    def walk(i: int) -> Iterator[Matching]:
-        if i == len(edges):
-            yield Matching(inst, chosen)
-            return
-        u, v = edges[i]
-        yield from walk(i + 1)
-        if u not in used and v not in used:
-            used.add(u)
-            used.add(v)
-            chosen.append((u, v))
-            yield from walk(i + 1)
-            chosen.pop()
-            used.discard(u)
-            used.discard(v)
 
-    return walk(0)
+def _extensions(inst, i, used, chosen) -> Iterator[Matching]:
+    """Every matching adding edges of ``inst.edges[i:]`` to ``chosen``; the
+    state is passed, not closed over, so no reference cycle is left behind."""
+    if i == len(inst.edges):
+        yield Matching(inst, chosen)
+        return
+    u, v = inst.edges[i]
+    yield from _extensions(inst, i + 1, used, chosen)
+    if u not in used and v not in used:
+        used.add(u)
+        used.add(v)
+        chosen.append((u, v))
+        yield from _extensions(inst, i + 1, used, chosen)
+        chosen.pop()
+        used.discard(u)
+        used.discard(v)
 
 
 def classify_exhaustive(inst: Instance, cap: int | None = None) -> ExhaustiveReport:
     """Stable, popular, and dominant sets straight from the definitions."""
     matchings = tuple(enumerate_matchings(inst, cap))
+    index = inst.index
     blocking = {
-        m: tuple(sorted(label_edges(inst, m).blocking, key=lambda e: inst.index[e[0]]))
+        m: tuple(sorted(label_edges(inst, m).blocking, key=lambda e: (index[e[0]], index[e[1]])))
         for m in matchings
     }
     stable = tuple(m for m in matchings if not blocking[m])
@@ -142,62 +144,51 @@ def enumerate_stable_matchings(
     even on instances far too large for full enumeration.  ``node_budget``
     bounds the number of search nodes as a safety valve.
     """
-    verts = inst.vertices
-    n = len(verts)
-    idx = inst.index
-    ranks = inst.ranks
-    # partner: vertex -> partner id, or "" for fixed-unmatched; absent = open
-    partner: dict[str, str] = {}
     out: list[Matching] = []
-    nodes = 0
-
-    def prefers_over_state(x: str, y: str) -> bool:
-        """Would fixed vertex x rather have y than its fixed state?"""
-        p = partner.get(x)
-        if p == "":
-            return True
-        if p is None:  # open vertices have no final verdict yet
-            return False
-        return ranks.prefers(x, y, p)
-
-    def fixed_block(w: str) -> bool:
-        """Does w, just fixed, form a blocking edge with another fixed vertex?"""
-        for z in inst.prefs[w]:
-            if z == partner.get(w):
-                continue
-            if partner.get(z) is None:
-                continue
-            if prefers_over_state(w, z) and prefers_over_state(z, w):
-                return True
-        return False
-
-    def walk(lo: int) -> None:
-        nonlocal nodes
-        nodes += 1
-        if nodes > node_budget:
-            raise ValueError("stable-matching search exceeded its node budget")
-        while lo < n and verts[lo] in partner:
-            lo += 1
-        if lo == n:
-            out.append(Matching(inst, [(u, p) for u, p in partner.items() if p and idx[u] < idx[p]]))
-            return
-        u = verts[lo]
-        for v in inst.prefs[u]:
-            if v in partner:
-                continue
-            partner[u] = v
-            partner[v] = u
-            if not fixed_block(u) and not fixed_block(v):
-                walk(lo + 1)
-            del partner[u]
-            del partner[v]
-        partner[u] = ""
-        if not fixed_block(u):
-            walk(lo + 1)
-        del partner[u]
-
-    walk(0)
+    _stable_search(inst, 0, {}, [], out, 0, node_budget)
     return out
+
+
+def _stable_search(inst, lo, c, pairs, out, nodes, node_budget) -> int:
+    """One search node; returns the number of nodes visited so far.
+
+    ``c`` maps each fixed vertex to its partner's rank, or deg + 1 when it
+    stays unmatched (open vertices are absent), and ``pairs`` lists the
+    fixed pairs.  Completed stable matchings are appended to ``out``.
+    """
+    nodes += 1
+    if nodes > node_budget:
+        raise ValueError("stable-matching search exceeded its node budget")
+    verts = inst.vertices
+    while lo < len(verts) and verts[lo] in c:
+        lo += 1
+    if lo == len(verts):
+        out.append(Matching(inst, pairs))
+        return nodes
+    u = verts[lo]
+    lst = inst.prefs[u]
+    for i, v in enumerate(lst, 1):
+        if v in c:
+            continue
+        c[u] = i
+        c[v] = inst.ranks.rank(v, u)
+        if not _fixed_blocks(inst, c, u) and not _fixed_blocks(inst, c, v):
+            pairs.append((u, v))
+            nodes = _stable_search(inst, lo + 1, c, pairs, out, nodes, node_budget)
+            pairs.pop()
+        del c[u], c[v]
+    c[u] = len(lst) + 1
+    if not _fixed_blocks(inst, c, u):
+        nodes = _stable_search(inst, lo + 1, c, pairs, out, nodes, node_budget)
+    del c[u]
+    return nodes
+
+
+def _fixed_blocks(inst: Instance, c: dict[str, int], w: str) -> bool:
+    """Whether fixed ``w`` forms a blocking edge with another fixed vertex:
+    some fixed z that w ranks above its state has rank(z, w) < c(z)."""
+    rank = inst.ranks.rank
+    return any(z in c and rank(z, w) < c[z] for z in inst.prefs[w][: c[w] - 1])
 
 
 def brute_sat(f) -> dict[int, bool] | None:

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .election import _vote, label_edges, weighting
+from .election import _partner_ranks, label_edges, weighting
 from .model import Instance, Matching
 
 __all__ = [
@@ -54,12 +54,14 @@ class ForbiddenStructure(NamedTuple):
 
 def is_stable(inst: Instance, m: Matching) -> tuple[bool, tuple[str, str] | None]:
     """Whether m has no blocking edge; returns the first one otherwise."""
-    for u, v in inst.edges:
-        if (u, v) in m:
-            continue
-        if _vote(inst, u, v, m) > 0 and _vote(inst, v, u, m) > 0:
-            return False, (u, v)
-    return True, None
+    e = next(_blocking_edges(inst, _partner_ranks(inst, m)), None)
+    return e is None, e
+
+
+def _blocking_edges(inst: Instance, c: dict[str, int]):
+    """The blocking edges under partner ranks ``c``, in ``inst.edges`` order."""
+    rank = inst.ranks.rank
+    return ((u, v) for u, v in inst.edges if rank(u, v) < c[u] and rank(v, u) < c[v])
 
 
 # ---------------------------------------------------------------------------
@@ -125,32 +127,31 @@ def _witness(inst: Instance, m: Matching) -> Witness | None:
 
 
 class _RestrictedGraph:
-    """Non-matching restricted-graph adjacency with blocking flags."""
+    """The restricted graph G_M: the non-matching edges that are not (-,-).
+
+    u votes for a neighbor v other than M(u) iff rank(u, v) < c(u), the
+    partner rank of ``election``.  ``adj[u]`` lists, in u's order, each v
+    other than M(u) for which either end votes for the other, flagged when
+    both do (a blocking edge, also listed in ``pp_edges``).
+    """
 
     def __init__(self, inst: Instance, m: Matching):
         self.inst = inst
         self.m = m
-        lab = label_edges(inst, m)
-        self.blocking = lab.blocking
+        c = _partner_ranks(inst, m)
+        rank = inst.ranks.rank
         self.partner = {u: m.partner(u) for u in inst.vertices}
         self.free = [u for u, p in self.partner.items() if p is None]
-        self.adj: dict[str, list[tuple[str, bool]]] = {u: [] for u in inst.vertices}
-        for u in inst.vertices:
-            for v in inst.prefs[u]:
-                e = inst.canonical_edge(u, v)
-                if e in m:
-                    continue
-                if lab.labels[e] == (-1, -1):
-                    continue
-                self.adj[u].append((v, e in lab.blocking))
-        self.pp_edges = [e for e in inst.edges if e in lab.blocking]
+        self.adj: dict[str, list[tuple[str, bool]]] = {}
+        for u, lst in inst.prefs.items():
+            cu = c[u]
+            row = self.adj[u] = []
+            for i, v in enumerate(lst, 1):  # the partner, at i == cu, fails both tests
+                back = rank(v, u) < c[v]
+                if i < cu or back:
+                    row.append((v, i < cu and back))
+        self.pp_edges = list(_blocking_edges(inst, c))
         self.nodes = 0  # depth-first search calls, counted against the budget
-
-    def has_fresh_blocking(self, u, path):
-        for v, pp in self.adj[u]:
-            if pp and v not in path:
-                return v
-        return None
 
 
 def is_popular_structure(
@@ -276,9 +277,9 @@ def _extend(rg, path, in_path, want_pp, closing=None):
             if v == closing:
                 return tuple(path) + (v,)
     if want_pp:
-        v = rg.has_fresh_blocking(u, in_path)
-        if v is not None:
-            return tuple(path) + (v,)
+        for v, pp in rg.adj[u]:
+            if pp and v not in in_path:
+                return tuple(path) + (v,)
     for v, pp in rg.adj[u]:
         if closing is None and pp:
             continue
@@ -356,25 +357,28 @@ def is_dominant_structure(
     if not popular:
         return False, cert
     if inst.kind == "marriage":
-        return not _augmenting_bfs(rg), None
+        return not _has_augmenting_path(rg), None
     return _max_matching_size(rg) <= len(m), None
 
 
-def _augmenting_bfs(rg):
-    for f in rg.free:
-        seen = {f}
-        stack = [f]
-        while stack:
-            u = stack.pop()
-            for v, _ in rg.adj[u]:
-                w = rg.partner[v]
-                if w is None:
-                    if v != f:
-                        return True
-                    continue
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
+def _has_augmenting_path(rg):
+    """Whether G_M has an augmenting path, on a marriage instance.
+
+    Such a path has an end among the unmatched A vertices, so one
+    depth-first search of the anchor digraph from all of them decides it.
+    """
+    side = rg.inst.side
+    stack = [f for f in rg.free if side[f] == "A"]
+    seen = set(stack)
+    while stack:
+        u = stack.pop()
+        for v, _ in rg.adj[u]:
+            w = rg.partner[v]
+            if w is None:
+                return True
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
     return False
 
 

@@ -52,6 +52,22 @@ def test_labels_under_m2_blocking(fig1, m2):
     assert lab.blocking == frozenset({("a1", "b1")})
 
 
+def _assert_restricted_graph_matches_labels(inst, m):
+    """Each row lists, in the owner's order, the non-partner neighbors whose
+    edge label is not (-1, -1), flagged iff the edge blocks."""
+    rg = _RestrictedGraph(inst, m)
+    lab = label_edges(inst, m)
+    for u in inst.vertices:
+        row = []
+        for v in inst.prefs[u]:
+            e = inst.canonical_edge(u, v)
+            if v != m.partner(u) and lab.labels[e] != (-1, -1):
+                row.append((v, e in lab.blocking))
+        assert rg.adj[u] == row
+    assert rg.pp_edges == [e for e in inst.edges if e in lab.blocking]
+    assert rg.free == [u for u in inst.vertices if m.partner(u) is None]
+
+
 def test_restricted_graph_drops_minus_minus(fig1, m2):
     rg = _RestrictedGraph(fig1, m2)
     keep = {fig1.canonical_edge(u, v) for u, nbrs in rg.adj.items() for v, _ in nbrs}
@@ -62,14 +78,15 @@ def test_restricted_graph_drops_minus_minus(fig1, m2):
     assert ("a1", "b3") in keep
     # (a2, b2): each prefers its partner
     assert ("a2", "b2") not in keep
-    lab = label_edges(fig1, m2)
-    assert keep <= set(lab.labels)
-    for e, (x, y) in lab.labels.items():
-        assert (e in keep) == ((x, y) != (-1, -1))
-        # each kept edge is listed from both ends, flagged iff it blocks
-        u, v = e
-        assert ((v, e in lab.blocking) in rg.adj[u]) == (e in keep)
-        assert ((u, e in lab.blocking) in rg.adj[v]) == (e in keep)
+    _assert_restricted_graph_matches_labels(fig1, m2)
+    rng = random.Random(17)
+    for k in range(80):
+        if k % 2 == 0:
+            inst = random_marriage(rng, rng.randint(1, 6), rng.randint(1, 6), rng.uniform(0.3, 1.0))
+        else:
+            inst = random_roommates(rng, rng.randint(2, 9), rng.uniform(0.3, 1.0))
+        for m in (Matching(inst, []), random_maximal_matching(rng, inst)):
+            _assert_restricted_graph_matches_labels(inst, m)
 
 
 def test_weighting_values(fig1, m1):

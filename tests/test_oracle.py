@@ -1,9 +1,10 @@
+import gc
 import random
 
 import pytest
 
 from popmatch.gen import random_marriage, random_roommates
-from popmatch.model import parse_instance
+from popmatch.model import Matching, parse_instance
 from popmatch.oracle import (
     brute_sat,
     classify_exhaustive,
@@ -26,6 +27,16 @@ def test_fig1_classification(fig1, m1, m2, m3):
     assert m3 in rep.matchings
     assert rep.blocking[m1] == ()
     assert rep.blocking[m2] == (("a1", "b1"),)
+    # sorted by both endpoints, so two blocking edges at one vertex keep
+    # their order whatever the string hash seed
+    assert rep.blocking[Matching(fig1, [])] == (
+        ("a1", "b1"),
+        ("a1", "b2"),
+        ("a1", "b3"),
+        ("a2", "b1"),
+        ("a2", "b2"),
+        ("a3", "b1"),
+    )
 
 
 def test_cap_enforced(fig1, monkeypatch):
@@ -54,14 +65,38 @@ def test_stable_enumeration_matches_exhaustive():
         assert len(fast) == len(set(fast))
 
 
+THREE_CYCLE = "roommates\nV x y z\nx: y z\ny: z x\nz: x y\n"
+
+
 def test_roommates_can_lack_stable_matchings():
     # the classic three-cycle of envy
-    inst = parse_instance(
-        "roommates\nV x y z\nx: y z\ny: z x\nz: x y\n"
-    )
+    inst = parse_instance(THREE_CYCLE)
     assert enumerate_stable_matchings(inst) == []
     rep = classify_exhaustive(inst)
     assert rep.stable == ()
+
+
+def test_stable_search_node_budget(fig1):
+    budget_error = "stable-matching search exceeded its node budget"
+    assert len(enumerate_stable_matchings(fig1, node_budget=16)) == 1
+    with pytest.raises(ValueError, match=budget_error):
+        enumerate_stable_matchings(fig1, node_budget=15)
+    cycle = parse_instance(THREE_CYCLE)
+    assert enumerate_stable_matchings(cycle, node_budget=4) == []
+    with pytest.raises(ValueError, match=budget_error):
+        enumerate_stable_matchings(cycle, node_budget=3)
+
+
+def test_enumerators_leave_no_reference_cycles(fig1):
+    gc.collect()
+    gc.disable()
+    try:
+        enumerate_stable_matchings(fig1)
+        assert gc.collect() == 0
+        list(enumerate_matchings(fig1))
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_brute_sat_positive_form():
