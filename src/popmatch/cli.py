@@ -249,33 +249,20 @@ def _cmd_election(args) -> int:
 
 def _cmd_classify(args) -> int:
     inst = _load_instance(args.instance)
-
     if args.all_popular_stable:
+        question = "all-popular-stable"
         bad = exists_unstable_popular(inst)
-        if args.json:
-            _emit(
-                {
-                    "question": "all-popular-stable",
-                    "verdict": bad is None,
-                    "counterexample": _edge_list(bad) if bad else None,
-                }
-            )
-        elif bad is None:
-            print("YES")
-        else:
-            print("NO")
-            _print_matching(bad)
-        return 0 if bad is None else 1
+    else:  # all-popular-dominant, exhaustive route only
+        question = "all-popular-dominant"
+        cap = args.cap if args.cap is not None else EXHAUSTIVE_CAP
+        report = classify_exhaustive(inst, cap=cap)
+        dominant = set(report.dominant)
+        bad = next((m for m in report.popular if m not in dominant), None)
 
-    # all-popular-dominant, exhaustive route only
-    cap = args.cap if args.cap is not None else EXHAUSTIVE_CAP
-    report = classify_exhaustive(inst, cap=cap)
-    dominant = set(report.dominant)
-    bad = next((m for m in report.popular if m not in dominant), None)
     if args.json:
         _emit(
             {
-                "question": "all-popular-dominant",
+                "question": question,
                 "verdict": bad is None,
                 "counterexample": _edge_list(bad) if bad else None,
             }

@@ -58,9 +58,11 @@ def vote(inst: Instance, u: str, candidate: str, m: Matching) -> int:
     """
     if not inst.has_edge(u, candidate):
         raise ValueError(f"({u!r}, {candidate!r}) is not an instance edge")
-    if m.partner(u) == candidate:
+    partner = m.partner(u)
+    if partner == candidate:
         raise ValueError(f"{candidate!r} is the current partner of {u!r}")
-    return 1 if inst.ranks.rank(u, candidate) < _partner_ranks(inst, m)[u] else -1
+    c = inst.degree(u) + 1 if partner is None else inst.ranks.rank(u, partner)
+    return 1 if inst.ranks.rank(u, candidate) < c else -1
 
 
 def _partner_ranks(inst: Instance, m: Matching) -> dict[str, int]:

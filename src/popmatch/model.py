@@ -17,17 +17,22 @@ and exposed through :attr:`Instance.index` for algorithmic code.  Instances
 and matchings are immutable after construction and all functions here are
 pure.
 
-Each instance is validated once.  The public ``Instance(...)`` runs every
-check; ``parse_instance`` makes the same checks with line and column and
-then builds through the private ``Instance._checked``, which runs only the
-derivation.  That constructor is for callers whose input is valid already:
-the parser, the three-copy expansion and :meth:`Instance.restrict`.
+Each model type has one rule set, ``_validate`` for instances and
+``Matching._pair_up`` for matchings, which reports the first fault through a
+``fail(message, where)`` callback.  The constructors raise ``ValueError``
+with the message.  The parsers check the syntax first, then raise
+:class:`ParseError` with the same message at the line and column of
+``where``, so a syntax fault is reported before any rule fault.
+``parse_instance`` then builds through the private ``Instance._checked``,
+which runs only the derivation, as do the three-copy expansion and
+:meth:`Instance.restrict`.
 """
 
 from __future__ import annotations
 
 import re
-from typing import Iterable, Mapping, Sequence
+from itertools import islice
+from typing import Collection, Iterable, Mapping, Sequence
 
 __all__ = [
     "ParseError",
@@ -59,9 +64,75 @@ class ParseError(ValueError):
         self.column = column
 
 
-def _check_id(name: str) -> None:
-    if not name or _ID_BAD.search(name):
-        raise ValueError(f"invalid vertex identifier {name!r}")
+def _raise(message: str, where: object) -> None:
+    raise ValueError(message)
+
+
+def _validate(
+    kind: str,
+    vertices: Sequence[str],
+    prefs: Mapping[str, Sequence[str]],
+    side: Mapping[str, str] | None,
+    fail,
+) -> None:
+    """Check every instance rule; call ``fail(message, where)`` at the first fault.
+
+    ``fail`` must raise.  ``where`` names what is at fault: an int is a
+    position in ``vertices``, a string is the owner named at the head of its
+    list, and ``(u, j)`` is entry ``j`` of u's list, or the whole list when
+    ``j`` is None.  The rules run in this order: kind and side tags, the
+    vertices in order, each list in the order of ``prefs`` (its owner, then
+    its entries in order), and symmetry last.
+    """
+    if kind not in ("marriage", "roommates"):
+        fail(f"unknown instance kind {kind!r}", None)
+    if kind == "marriage":
+        if side is None:
+            fail("marriage instance requires side tags", None)
+    elif side is not None:
+        fail("roommates instance takes no side tags", None)
+
+    # Each check runs in bulk first; a fault is then located item by item.
+    seen = set(vertices)
+    if len(seen) != len(vertices) or "" in seen or _ID_BAD.search("".join(vertices)):
+        seen = set()
+        for i, v in enumerate(vertices):
+            if not v or _ID_BAD.search(v):
+                fail(f"invalid vertex identifier {v!r}", i)
+            if v in seen:
+                fail(f"duplicate vertex {v!r}", i)
+            seen.add(v)
+
+    if side is not None:
+        if side.keys() != seen or not {"A", "B"}.issuperset(side.values()):
+            fail("side tags must cover exactly the vertex set with A/B", None)
+        across = {"A": {v for v, s in side.items() if s == "B"}}
+        across["B"] = seen - across["A"]
+
+    listed: dict[str, Collection[str]] = dict.fromkeys(seen, ())
+    for u, lst in prefs.items():
+        if u not in seen:
+            fail(f"preference list for unknown vertex {u!r}", u)
+        got = listed[u] = set(lst)
+        allowed = seen if side is None else across[side[u]]
+        if len(got) == len(lst) and u not in got and got <= allowed:
+            continue
+        got = set()
+        for j, v in enumerate(lst):
+            if v not in seen:
+                fail(f"{u!r} lists unknown vertex {v!r}", (u, j))
+            if v == u:
+                fail(f"{u!r} lists itself", (u, j))
+            if v in got:
+                fail(f"{u!r} lists {v!r} twice", (u, j))
+            got.add(v)
+            if side is not None and side[u] == side[v]:
+                fail(f"edge ({u!r}, {v!r}) does not cross sides", (u, j))
+
+    for u, lst in prefs.items():
+        for v in lst:
+            if u not in listed[v]:
+                fail(f"asymmetric adjacency: {u!r} lists {v!r} but not back", (u, None))
 
 
 class RankIndex:
@@ -101,12 +172,12 @@ class Instance:
                scanning preference lists in vertex order.
     ranks:     a :class:`RankIndex` over ``prefs``.
 
-    The constructor validates symmetry of adjacency, absence of duplicates
-    and self-loops, and (for marriage) that every edge crosses sides, then
-    derives the attributes in ``_derive``.  The private classmethod
-    ``_checked`` runs only that derivation; it is for callers that have
-    already checked their input, and an invalid input gives an invalid
-    instance rather than an error.
+    The constructor checks every rule of ``_validate`` (identifiers, side
+    tags, known neighbours, no self-loops or repeats, edges that cross
+    sides for marriage, symmetric adjacency), then derives the attributes
+    in ``_derive``.  The private classmethod ``_checked`` runs only that
+    derivation; it is for callers that have already checked their input,
+    and an invalid input gives an invalid instance rather than an error.
     """
 
     def __init__(
@@ -116,51 +187,9 @@ class Instance:
         prefs: Mapping[str, Sequence[str]],
         side: Mapping[str, str] | None = None,
     ):
-        if kind not in ("marriage", "roommates"):
-            raise ValueError(f"unknown instance kind {kind!r}")
-        if kind == "marriage":
-            if side is None:
-                raise ValueError("marriage instance requires side tags")
-        elif side is not None:
-            raise ValueError("roommates instance takes no side tags")
-
         verts = tuple(vertices)
-        seen: set[str] = set()
-        for v in verts:
-            _check_id(v)
-            if v in seen:
-                raise ValueError(f"duplicate vertex {v!r}")
-            seen.add(v)
-
-        if side is not None:
-            if set(side) != seen or any(s not in ("A", "B") for s in side.values()):
-                raise ValueError("side tags must cover exactly the vertex set with A/B")
-
-        for u in prefs:
-            if u not in seen:
-                raise ValueError(f"preference list for unknown vertex {u!r}")
-        lists = {v: tuple(prefs.get(v, ())) for v in verts}
-
-        for u, lst in lists.items():
-            listed: set[str] = set()
-            for v in lst:
-                if v not in seen:
-                    raise ValueError(f"{u!r} lists unknown vertex {v!r}")
-                if v == u:
-                    raise ValueError(f"{u!r} lists itself")
-                if v in listed:
-                    raise ValueError(f"{u!r} lists {v!r} twice")
-                listed.add(v)
-                if side is not None and side[u] == side[v]:
-                    raise ValueError(f"edge ({u!r}, {v!r}) does not cross sides")
-
-        self._derive(kind, verts, lists, side)
-
-        adj = self.adj
-        for u, lst in lists.items():
-            for v in lst:
-                if u not in adj[v]:
-                    raise ValueError(f"asymmetric adjacency: {u!r} lists {v!r} but not back")
+        _validate(kind, verts, prefs, side, _raise)
+        self._derive(kind, verts, prefs, side)
 
     @classmethod
     def _checked(
@@ -173,9 +202,9 @@ class Instance:
         """An instance from input the caller has already validated.
 
         Private.  Runs the derivation of :meth:`__init__` without its
-        checks, so the input must pass every one of them: callers are the
-        parser (which makes the same checks with positions), the three-copy
-        expansion and :meth:`restrict` (valid by construction).
+        checks, so the input must pass ``_validate``: callers are the
+        parser (which runs ``_validate`` itself, to report positions), the
+        three-copy expansion and :meth:`restrict` (valid by construction).
         """
         inst = cls.__new__(cls)
         inst._derive(kind, vertices, prefs, side)
@@ -274,17 +303,27 @@ class Matching:
     """A set of pairwise disjoint instance edges plus the derived partner map."""
 
     def __init__(self, inst: Instance, pairs: Iterable[tuple[str, str]]):
+        self._pair_up(inst, pairs, _raise)
+
+    def _pair_up(self, inst: Instance, pairs: Iterable[tuple[str, str]], fail) -> None:
+        """Check every pair and set every attribute; the one matching rule set.
+
+        ``fail(message, (k, end))`` must raise.  It names endpoint ``end`` of
+        pair ``k``: the second when only it is unknown, else the first.
+        """
         self.instance = inst
         edges: list[tuple[str, str]] = []
         partner: dict[str, str] = {}
-        for u, v in pairs:
-            if not inst.has_edge(u, v):
-                raise ValueError(f"({u!r}, {v!r}) is not an edge of the instance")
+        adj = inst.adj
+        for k, (u, v) in enumerate(pairs):
+            if v not in adj.get(u, ()):
+                end = int(u in adj and v not in adj)
+                fail(f"({u!r}, {v!r}) is not an edge of the instance", (k, end))
             e = inst.canonical_edge(u, v)
             if e[0] in partner or e[1] in partner:
                 if partner.get(e[0]) == e[1]:
                     continue  # exact duplicate pair, harmless
-                raise ValueError(f"edges overlap at ({u!r}, {v!r})")
+                fail(f"edges overlap at ({u!r}, {v!r})", (k, 0))
             partner[e[0]] = e[1]
             partner[e[1]] = e[0]
             edges.append(e)
@@ -331,115 +370,77 @@ def matched_vertices(m: Matching) -> frozenset[str]:
 # -- parsing ---------------------------------------------------------------
 
 
-def _meaningful_lines(text: str):
-    """Yield (line_number, stripped_content, token_list) skipping blanks.
-
-    Tokens are (value, column) pairs, columns 1-based, comments removed.
-    """
+def _lines(text: str):
+    """Yield (line number, text before any ``#``) for each line with a token."""
     for ln, raw in enumerate(text.splitlines(), start=1):
         body = raw.split("#", 1)[0]
-        toks = [(m.group(), m.start() + 1) for m in _TOKEN.finditer(body)]
-        if toks:
-            yield ln, body, toks
+        if body and not body.isspace():
+            yield ln, body
+
+
+def _column(body: str, k: int, start: int = 0) -> int:
+    """1-based column of token ``k`` of ``body[start:]``."""
+    return next(islice(_TOKEN.finditer(body, start), k, None)).start() + 1
 
 
 def parse_instance(text: str) -> Instance:
     """Parse instance-file content; raises :class:`ParseError` on bad input."""
-    lines = list(_meaningful_lines(text))
+    lines = list(_lines(text))
     if not lines:
         raise ParseError("missing kind line ('marriage' or 'roommates')", 1)
-    pos = 0
+    ln, body = lines[0]
+    toks = body.split()
+    if toks[0] not in ("marriage", "roommates") or len(toks) > 1:
+        raise ParseError("expected 'marriage' or 'roommates'", ln, _column(body, 0))
+    kind = toks[0]
 
-    ln, _, toks = lines[pos]
-    kind_tok, kind_col = toks[0]
-    if kind_tok not in ("marriage", "roommates") or len(toks) > 1:
-        raise ParseError("expected 'marriage' or 'roommates'", ln, kind_col)
-    kind = kind_tok
-    pos += 1
-
-    def take_id_line(tag: str) -> list[tuple[str, int, int]]:
-        nonlocal pos
+    tags = ("A", "B") if kind == "marriage" else ("V",)
+    vertices: list[str] = []
+    side: dict[str, str] | None = {} if kind == "marriage" else None
+    for pos, tag in enumerate(tags, start=1):
         if pos >= len(lines):
             raise ParseError(f"missing '{tag}' line", lines[-1][0] + 1)
-        ln, _, toks = lines[pos]
-        head, col = toks[0]
+        ln, body = lines[pos]
+        head, *ids = body.split()
         if head != tag:
-            raise ParseError(f"expected '{tag}' line", ln, col)
-        pos += 1
-        out = []
-        for tok, c in toks[1:]:
-            if _ID_BAD.search(tok):
-                raise ParseError(f"invalid identifier {tok!r}", ln, c)
-            out.append((tok, ln, c))
-        return out
-
-    if kind == "marriage":
-        a_ids = take_id_line("A")
-        b_ids = take_id_line("B")
-        declared = a_ids + b_ids
-        side = {}
-        for tok, _, _ in a_ids:
-            side[tok] = "A"
-        for tok, _, _ in b_ids:
-            side[tok] = "B"
-    else:
-        declared = take_id_line("V")
-        side = None
-
-    vertices: list[str] = []
-    seen_at: dict[str, tuple[int, int]] = {}
-    for tok, ln, col in declared:
-        if tok in seen_at:
-            raise ParseError(f"duplicate vertex {tok!r}", ln, col)
-        seen_at[tok] = (ln, col)
-        vertices.append(tok)
-    vset = set(vertices)
+            raise ParseError(f"expected '{tag}' line", ln, _column(body, 0))
+        vertices += ids
+        if side is not None:
+            side.update(dict.fromkeys(ids, tag))
 
     prefs: dict[str, list[str]] = {}
-    nbr_sets: dict[str, set[str]] = {}
-    owner_line: dict[str, int] = {}
-    for ln, body, toks in lines[pos:]:
-        cut = body.find(":")
-        if cut < 0:
-            raise ParseError("expected '<id>: <neighbors>'", ln, toks[0][1])
-        head_toks = [(m.group(), m.start() + 1) for m in _TOKEN.finditer(body[:cut])]
-        if len(head_toks) != 1:
-            raise ParseError("expected a single vertex id before ':'", ln, cut + 1)
-        u, ucol = head_toks[0]
-        if u not in vset:
-            raise ParseError(f"preference line for undeclared vertex {u!r}", ln, ucol)
+    owner: dict[str, tuple[int, str]] = {}
+    for ln, body in lines[len(tags) + 1 :]:
+        head, colon, tail = body.partition(":")
+        if not colon:
+            raise ParseError("expected '<id>: <neighbors>'", ln, _column(body, 0))
+        names = head.split()
+        if len(names) != 1:
+            raise ParseError("expected a single vertex id before ':'", ln, len(head) + 1)
+        u = names[0]
         if u in prefs:
-            raise ParseError(f"second preference line for {u!r}", ln, ucol)
-        tail = body[cut + 1 :]
-        lst: list[str] = []
-        listed: set[str] = set()
-        for m in _TOKEN.finditer(tail):
-            v, vcol = m.group(), cut + 1 + m.start() + 1
-            if v not in vset:
-                raise ParseError(f"{u!r} lists undeclared vertex {v!r}", ln, vcol)
-            if v == u:
-                raise ParseError(f"{u!r} lists itself", ln, vcol)
-            if v in listed:
-                raise ParseError(f"duplicate {v!r} in the list of {u!r}", ln, vcol)
-            if side is not None and side[v] == side[u]:
-                raise ParseError(
-                    f"edge ({u!r}, {v!r}) does not cross sides", ln, vcol
-                )
-            listed.add(v)
-            lst.append(v)
-        prefs[u] = lst
-        nbr_sets[u] = listed
-        owner_line[u] = ln
+            raise ParseError(f"second preference line for {u!r}", ln, _column(body, 0))
+        prefs[u] = tail.split()
+        owner[u] = (ln, body)
 
-    for u, lst in prefs.items():
-        for v in lst:
-            if u not in nbr_sets.get(v, ()):
-                raise ParseError(
-                    f"asymmetric adjacency: {u!r} lists {v!r} but not back",
-                    owner_line[u],
-                )
+    def fail(message: str, where) -> None:
+        if isinstance(where, int):  # a declared vertex, counted across the tag lines
+            for ln, body in lines[1 : len(tags) + 1]:
+                n = len(body.split()) - 1
+                if where < n:
+                    break
+                where -= n
+            col = _column(body, where + 1)
+        elif isinstance(where, str):  # the owner at the head of its line
+            ln, body = owner[where]
+            col = _column(body, 0)
+        else:
+            u, j = where
+            ln, body = owner[u]
+            col = 1 if j is None else _column(body, j, body.index(":") + 1)
+        raise ParseError(message, ln, col)
 
-    # The checks above cover every check of Instance.__init__.
+    _validate(kind, vertices, prefs, side, fail)
     return Instance._checked(kind, vertices, prefs, side)
 
 
@@ -458,22 +459,21 @@ def serialize_instance(inst: Instance) -> str:
 
 def parse_matching(text: str, inst: Instance) -> Matching:
     """Parse matching-file content against ``inst``."""
+    lines = list(_lines(text))
     pairs: list[tuple[str, str]] = []
-    for ln, _, toks in _meaningful_lines(text):
+    for ln, body in lines:
+        toks = body.split()
         if len(toks) != 2:
-            raise ParseError("expected '<u> <v>'", ln, toks[0][1])
-        (u, ucol), (v, vcol) = toks
-        if u not in inst.index:
-            raise ParseError(f"unknown vertex {u!r}", ln, ucol)
-        if v not in inst.index:
-            raise ParseError(f"unknown vertex {v!r}", ln, vcol)
-        if not inst.has_edge(u, v):
-            raise ParseError(f"({u!r}, {v!r}) is not an instance edge", ln, ucol)
-        pairs.append((u, v))
-    try:
-        return Matching(inst, pairs)
-    except ValueError as exc:
-        raise ParseError(str(exc), 1) from exc
+            raise ParseError("expected '<u> <v>'", ln, _column(body, 0))
+        pairs.append((toks[0], toks[1]))
+
+    def fail(message: str, where: tuple[int, int]) -> None:
+        ln, body = lines[where[0]]
+        raise ParseError(message, ln, _column(body, where[1]))
+
+    m = Matching.__new__(Matching)
+    m._pair_up(inst, pairs, fail)
+    return m
 
 
 def serialize_matching(m: Matching) -> str:

@@ -2,8 +2,9 @@ import random
 
 import pytest
 
+from popmatch.cli import run
 from popmatch.engine import build_gprime
-from popmatch.gen import random_marriage, random_roommates
+from popmatch.gen import random_marriage, random_maximal_matching, random_roommates
 from popmatch.model import (
     Instance,
     Matching,
@@ -292,3 +293,224 @@ def test_restrict_matches_validating_constructor():
         side = {v: inst.side[v] for v in verts} if inst.side is not None else None
         assert _fields(sub) == _fields(Instance(inst.kind, verts, prefs, side))
         assert _fields(sub) == _reference_fields(inst.kind, verts, prefs, side)
+
+
+# -- one rule set, two entry points -------------------------------------------
+#
+# Every row holds one fault.  The positions were pinned before the parsers
+# handed their rule checks to the constructors, and stayed; the overlap rows
+# used to report line 1, column 1 wherever the pair was.
+
+_INSTANCE_FAULTS = [
+    ("kind", "triangle\nV x\n", 1, 1),
+    ("kind-extra-token", "marriage extra\nA a\nB b\n", 1, 1),
+    ("missing-A", "marriage\n", 2, 1),
+    ("missing-B", "marriage\nA a\n", 3, 1),
+    ("missing-V", "roommates\n", 2, 1),
+    ("wrong-tag", "marriage\nB b\nA a\n", 2, 1),
+    ("missing-colon", "marriage\nA a\nB b\na b\nb: a\n", 4, 1),
+    ("two-ids", "marriage\nA a\nB b\na b: a\nb: a\n", 4, 4),
+    ("no-id", "marriage\nA a\nB b\n: b\nb: a\n", 4, 1),
+    ("second-line", "marriage\nA a\nB b\na: b\nb: a\na: b\n", 6, 1),
+    ("undeclared-head", "marriage\nA a\nB b\na: b\nb: a\nq: a\n", 6, 1),
+    ("unknown-neighbour", "marriage\nA a\nB b\na: b q\nb: a\n", 4, 6),
+    ("self-loop", "roommates\nV x y\nx: x y\ny: x\n", 3, 4),
+    ("repeated", "marriage\nA a\nB b\na: b b\nb: a\n", 4, 6),
+    (
+        "repeated-indented",
+        "marriage\nA a1 a2\nB b1\n a1 :  b1 # x\nb1: a1 a2\n a2:   b1  b1\n",
+        6,
+        12,
+    ),
+    ("same-side", "marriage\nA a c\nB b\na: b c\nb: a\nc: a\n", 4, 6),
+    ("same-side-B", "marriage\nA a\nB b c\na: b\nb: a c\nc: b\n", 5, 6),
+    ("asymmetric", "marriage\nA a\nB b c\na: b c\nb: a\nc:\n", 4, 1),
+    ("asymmetric-indented", "marriage\nA a\nB b c\n   a: b c\nb: a\nc:\n", 4, 1),
+    ("bad-identifier", "marriage\nA a x:y\nB b\na: b\nb: a\n", 2, 5),
+    ("bad-identifier-B", "marriage\nA a\nB b x:y\na: b\nb: a\n", 3, 5),
+    ("duplicate-vertex", "marriage\nA a\nB b a\na: b\nb: a\n", 3, 5),
+    ("duplicate-vertex-V", "roommates\nV x y x\nx: y\ny: x\n", 2, 7),
+]
+
+_MATCHING_FAULTS = [
+    ("non-edge", "a1 b1\na3 b3\n", 2, 1),
+    ("unknown-first", "a1 b1\nzz b2\n", 2, 1),
+    ("unknown-second", "a1 b1\n\n  a2   zz\n", 3, 8),
+    ("overlap", "a1 b1\n# gap\n\n\na1 b2\n", 5, 1),
+    ("overlap-second", "a2 b2\na1 b2\n", 2, 1),
+    ("three-tokens", "a1 b1 b2\n", 1, 1),
+]
+
+
+@pytest.mark.parametrize(
+    "text, line, column",
+    [row[1:] for row in _INSTANCE_FAULTS],
+    ids=[row[0] for row in _INSTANCE_FAULTS],
+)
+def test_instance_fault_position(text, line, column, tmp_path, capsys):
+    assert _parse_error_at(text) == (line, column)
+    path = tmp_path / "bad.inst"
+    path.write_text(text)
+    assert run(["solve", "--stable", str(path)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: line {line}, column {column}: ")
+
+
+@pytest.mark.parametrize(
+    "text, line, column",
+    [row[1:] for row in _MATCHING_FAULTS],
+    ids=[row[0] for row in _MATCHING_FAULTS],
+)
+def test_matching_fault_position(text, line, column, fig1, tmp_path, capsys):
+    with pytest.raises(ParseError) as err:
+        parse_matching(text, fig1)
+    assert (err.value.line, err.value.column) == (line, column)
+    (tmp_path / "fig1.inst").write_text(FIG1_TEXT)
+    (tmp_path / "bad.match").write_text(text)
+    argv = ["verify", "--stable", str(tmp_path / "fig1.inst"), str(tmp_path / "bad.match")]
+    assert run(argv) == 2
+    assert capsys.readouterr().err.startswith(f"error: line {line}, column {column}: ")
+
+
+def _read_lists(text):
+    """The lists a file with valid syntax spells out, read with plain splits.
+
+    Returns None when the syntax is invalid, so only the instance rules can
+    still fail.
+    """
+    lines = [raw.split("#", 1)[0] for raw in text.splitlines()]
+    lines = [line for line in lines if line.split()]
+    if not lines or lines[0].split() not in (["marriage"], ["roommates"]):
+        return None
+    kind = lines[0].split()[0]
+    tags = ["A", "B"] if kind == "marriage" else ["V"]
+    if len(lines) <= len(tags):
+        return None
+    vertices, side = [], ({} if kind == "marriage" else None)
+    for tag, line in zip(tags, lines[1:]):
+        head, *ids = line.split()
+        if head != tag:
+            return None
+        vertices += ids
+        if side is not None:
+            side.update((v, tag) for v in ids)
+    prefs = {}
+    for line in lines[len(tags) + 1 :]:
+        head, colon, tail = line.partition(":")
+        if not colon or len(head.split()) != 1 or head.split()[0] in prefs:
+            return None
+        prefs[head.split()[0]] = tail.split()
+    return kind, vertices, prefs, side
+
+
+def _message(err):
+    return str(err).split(": ", 1)[1]
+
+
+def _rule_message(text):
+    """str() of the error ``Instance(...)`` raises on the file's lists."""
+    with pytest.raises(ValueError) as err:
+        Instance(*_read_lists(text))
+    assert type(err.value) is ValueError
+    return str(err.value)
+
+
+def test_parser_reports_the_constructors_message():
+    rule_rows = [row for row in _INSTANCE_FAULTS if _read_lists(row[1]) is not None]
+    assert {row[0] for row in rule_rows} == {
+        "undeclared-head", "unknown-neighbour", "self-loop", "repeated", "repeated-indented",
+        "same-side", "same-side-B", "asymmetric", "asymmetric-indented", "bad-identifier",
+        "bad-identifier-B", "duplicate-vertex", "duplicate-vertex-V",
+    }
+    for _, text, _, _ in rule_rows:
+        with pytest.raises(ParseError) as err:
+            parse_instance(text)
+        assert _message(err.value) == _rule_message(text)
+
+
+def test_matching_parser_reports_the_constructors_message(fig1):
+    for _, text, _, _ in _MATCHING_FAULTS[:-1]:
+        pairs = [tuple(line.split("#")[0].split()) for line in text.splitlines()]
+        pairs = [p for p in pairs if p]
+        with pytest.raises(ValueError) as want:
+            Matching(fig1, pairs)
+        with pytest.raises(ParseError) as got:
+            parse_matching(text, fig1)
+        assert _message(got.value) == str(want.value)
+
+
+def _mutate(rng, text, names):
+    """One random edit of one line: drop, repeat, replace, insert or move a
+    token, drop or repeat the line, add or remove a ':', or indent it."""
+    lines = text.splitlines()
+    i = rng.randrange(len(lines))
+    toks = lines[i].split(" ")
+    edit = rng.randrange(9)
+    if edit == 0 and len(toks) > 1:
+        del toks[rng.randrange(len(toks))]
+    elif edit == 1:
+        j = rng.randrange(len(toks))
+        toks.insert(j, toks[j])
+    elif edit == 2:
+        toks[rng.randrange(len(toks))] = rng.choice(names + ["zz"])
+    elif edit == 3:
+        toks.insert(rng.randrange(len(toks) + 1), rng.choice(names + ["q", "x:y"]))
+    elif edit == 4:
+        del lines[i]
+        toks = None
+    elif edit == 5:
+        lines.insert(i, lines[i])
+        toks = None
+    elif edit == 6:
+        j = rng.randrange(len(toks))
+        toks[j] = toks[j].replace(":", "") if ":" in toks[j] else toks[j] + ":"
+    elif edit == 7 and len(toks) > 1:
+        j, k = rng.sample(range(len(toks)), 2)
+        toks[j], toks[k] = toks[k], toks[j]
+    else:
+        toks = ["  " + toks[0]] + toks[1:] + ["# note"]
+    if toks is not None:
+        lines[i] = " ".join(toks)
+    return "\n".join(lines) + "\n"
+
+
+def test_mutated_files_parse_or_raise_parse_error():
+    rng = random.Random(6000)
+    outcomes = {"ok": 0, "syntax": 0, "rule": 0, "matching": 0}
+    for t in range(1500):
+        if t % 2:
+            base = random_marriage(rng, rng.randint(1, 5), rng.randint(1, 5), rng.random())
+        else:
+            base = random_roommates(rng, rng.randint(1, 7), rng.random())
+        text = _mutate(rng, serialize_instance(base), list(base.vertices))
+        lists = _read_lists(text)
+        try:
+            inst = parse_instance(text)
+        except ParseError as err:
+            if lists is None:
+                outcomes["syntax"] += 1
+            else:
+                outcomes["rule"] += 1
+                assert _message(err) == _rule_message(text), text
+        else:
+            outcomes["ok"] += 1
+            assert lists is not None, text
+            assert _fields(inst) == _fields(Instance(*lists)), text
+
+        if not base.edges:
+            continue
+        both = random_maximal_matching(rng, base).edges + random_maximal_matching(rng, base).edges
+        mtext = _mutate(rng, "".join(f"{u} {v}\n" for u, v in both), list(base.vertices))
+        pairs = [tuple(line.split("#")[0].split()) for line in mtext.splitlines()]
+        pairs = [p for p in pairs if p]
+        try:
+            m = parse_matching(mtext, base)
+        except ParseError as err:
+            outcomes["matching"] += 1
+            if all(len(p) == 2 for p in pairs):
+                with pytest.raises(ValueError) as want:
+                    Matching(base, pairs)
+                assert _message(err) == str(want.value), mtext
+        else:
+            assert m == Matching(base, pairs)
+    # The battery reaches every outcome.
+    assert min(outcomes.values()) > 100, outcomes
