@@ -12,8 +12,6 @@ from .model import (
     Instance,
     Matching,
     ParseError,
-    RankIndex,
-    matched_vertices,
     parse_instance,
     parse_matching,
     serialize_instance,
@@ -26,8 +24,6 @@ __all__ = [
     "Instance",
     "Matching",
     "ParseError",
-    "RankIndex",
-    "matched_vertices",
     "parse_instance",
     "parse_matching",
     "serialize_instance",

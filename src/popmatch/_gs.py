@@ -70,14 +70,14 @@ def compile_view(inst: Instance) -> BipartiteView:
     resp_ids = list(inst.side_b())
     prop_index = {v: i for i, v in enumerate(prop_ids)}
     resp_index = {v: i for i, v in enumerate(resp_ids)}
-    rank = inst.ranks.rank
+    rank = inst.rank
     off = [0]
     adj: list[int] = []
     crossrank: list[int] = []
     for p in prop_ids:
         for r in inst.prefs[p]:
             adj.append(resp_index[r])
-            crossrank.append(rank(r, p) - 1)
+            crossrank.append(rank[r][p] - 1)
         off.append(len(adj))
     view = BipartiteView(
         prop_ids=prop_ids,

@@ -130,15 +130,15 @@ def to_nondominant_stable(inst: Instance, m: Matching, w: Witness) -> Matching:
 def _probe_arrays(inst: Instance, gp, view):
     e_aplus, e_aminus, e_dbresp = [], [], []
     e_bplus, e_bminus, e_start, e_posb, e_degb = [], [], [], [], []
-    rank = inst.ranks.rank
+    rank = inst.rank
     for a, b in inst.edges:
         e_aplus.append(view.prop_index[gp.plus[a]])
         e_aminus.append(view.prop_index[gp.minus[a]])
         e_dbresp.append(view.resp_index[gp.dummy[a]])
         e_bplus.append(view.resp_index[gp.plus[b]])
         e_bminus.append(view.resp_index[gp.minus[b]])
-        e_start.append(rank(a, b))
-        e_posb.append(rank(b, a) - 1)
+        e_start.append(rank[a][b])
+        e_posb.append(rank[b][a] - 1)
         e_degb.append(inst.degree(b))
     return e_aplus, e_aminus, e_dbresp, e_bplus, e_bminus, e_start, e_posb, e_degb
 
@@ -208,17 +208,17 @@ def exists_unstable_popular_pairwise(inst: Instance) -> Matching | None:
     inst.require_marriage("the unstable-popular decision")
     gp = build_gprime(inst)
     view = _gs.compile_view(gp.instance)
-    rank = inst.ranks.rank
+    rank = inst.rank
     for a, b in inst.edges:
         pb = inst.prefs[b]
         a_plus = view.prop_index[gp.plus[a]]
         b_plus = view.resp_index[gp.plus[b]]
-        for v in inst.prefs[a][rank(a, b) :]:
+        for v in inst.prefs[a][rank[a][b] :]:
             v_minus = view.resp_index[gp.minus[v]]
-            cut_v = rank(v, a) + 1
-            for u in pb[rank(b, a) :]:
+            cut_v = rank[v][a] + 1
+            for u in pb[rank[b][a] :]:
                 u_minus = view.prop_index[gp.minus[u]]
-                cut_b = rank(b, u)
+                cut_b = rank[b][u]
                 res = _gs.run_proposals(
                     view, cutoff={v_minus: cut_v, b_plus: cut_b}
                 )

@@ -38,6 +38,7 @@ from .model import (
     ParseError,
     parse_instance,
     parse_matching,
+    parse_witness,
     serialize_instance,
     serialize_matching,
 )
@@ -123,27 +124,6 @@ def _cmd_solve(args) -> int:
 # verify
 
 
-def _parse_witness_file(path: str, inst: Instance) -> dict[str, int]:
-    w: dict[str, int] = {}
-    for ln, raw in enumerate(_read(path).splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        toks = line.split()
-        if len(toks) != 2:
-            raise ParseError("expected '<vertex> <value>'", ln)
-        u, val = toks
-        if u not in inst.index:
-            raise ParseError(f"unknown vertex {u!r}", ln)
-        if u in w:
-            raise ParseError(f"duplicate vertex {u!r}", ln)
-        try:
-            w[u] = int(val)
-        except ValueError:
-            raise ParseError(f"witness value must be an integer, got {val!r}", ln)
-    return w
-
-
 def _cmd_verify(args) -> int:
     inst = _load_instance(args.files[0])
     m = _load_matching(args.files[1], inst)
@@ -208,7 +188,7 @@ def _cmd_verify(args) -> int:
         return 0 if ok else 1
 
     # witness mode
-    w = _parse_witness_file(args.files[2], inst)
+    w = parse_witness(_read(args.files[2]), inst)
     ok, bad = verify_witness(inst, m, w)
     if args.json:
         _emit({"valid": ok, "violations": [list(map(str, v)) for v in bad]})

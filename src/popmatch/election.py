@@ -2,11 +2,13 @@
 between two matchings.
 
 Votes are integers: +1 means the vertex prefers the candidate to its current
-assignment, -1 the opposite.  One rule gives them all: with c(u) the rank of
-u's partner in M, or deg(u) + 1 when u is unmatched (``_partner_ranks``), u
-votes +1 for a neighbor v other than M(u) exactly when rank(u, v) < c(u), so
-an unmatched vertex prefers any neighbor.  ``delta(inst, m, n)`` is the
-number of vertices preferring ``m`` minus the number preferring ``n``.
+assignment, -1 the opposite.  One rule gives them all, read off the rank
+table ``inst.rank``: with c(u) = ``rank[u][M(u)]``, or deg(u) + 1 when u is
+unmatched (``_partner_ranks``), u votes +1 for a neighbor v other than M(u)
+exactly when ``rank[u][v]`` < c(u), so an unmatched vertex prefers any
+neighbor.  ``delta(inst, m, n)`` is the number of vertices preferring ``m``
+minus the number preferring ``n``; it compares ``rank[u][M(u)]`` with
+``rank[u][N(u)]`` directly.
 """
 
 from __future__ import annotations
@@ -61,41 +63,42 @@ def vote(inst: Instance, u: str, candidate: str, m: Matching) -> int:
     partner = m.partner(u)
     if partner == candidate:
         raise ValueError(f"{candidate!r} is the current partner of {u!r}")
-    c = inst.degree(u) + 1 if partner is None else inst.ranks.rank(u, partner)
-    return 1 if inst.ranks.rank(u, candidate) < c else -1
+    rank = inst.rank[u]
+    c = len(rank) + 1 if partner is None else rank[partner]
+    return 1 if rank[candidate] < c else -1
 
 
 def _partner_ranks(inst: Instance, m: Matching) -> dict[str, int]:
-    """c(u) = rank(u, M(u)), or deg(u) + 1 for a vertex unmatched in ``m``."""
-    rank = inst.ranks.rank
-    c = {u: len(lst) + 1 for u, lst in inst.prefs.items()}
+    """c(u) = rank[u][M(u)], or deg(u) + 1 for a vertex unmatched in ``m``."""
+    rank = inst.rank
+    c = {u: len(row) + 1 for u, row in rank.items()}
     for a, b in m.edges:
-        c[a], c[b] = rank(a, b), rank(b, a)
+        c[a], c[b] = rank[a][b], rank[b][a]
     return c
 
 
 def label_edges(inst: Instance, m: Matching) -> EdgeLabeling:
     """Vote pairs for every edge outside ``m``; (+,+) edges block ``m``."""
     c = _partner_ranks(inst, m)
-    rank = inst.ranks.rank
+    rank = inst.rank
     labels: dict[tuple[str, str], tuple[int, int]] = {}
     for u, v in inst.edges:
-        ru = rank(u, v)
+        ru = rank[u][v]
         if ru != c[u]:
-            labels[(u, v)] = (1 if ru < c[u] else -1, 1 if rank(v, u) < c[v] else -1)
+            labels[(u, v)] = (1 if ru < c[u] else -1, 1 if rank[v][u] < c[v] else -1)
     return EdgeLabeling(labels, frozenset(e for e, pair in labels.items() if pair == (1, 1)))
 
 
 def weighting(inst: Instance, m: Matching) -> EdgeWeighting:
     c = _partner_ranks(inst, m)
-    rank = inst.ranks.rank
+    rank = inst.rank
     edge: dict[tuple[str, str], int] = {}
     for u, v in inst.edges:
-        ru = rank(u, v)
+        ru = rank[u][v]
         if ru == c[u]:
             edge[(u, v)] = 0
         else:
-            edge[(u, v)] = (1 if ru < c[u] else -1) + (1 if rank(v, u) < c[v] else -1)
+            edge[(u, v)] = (1 if ru < c[u] else -1) + (1 if rank[v][u] < c[v] else -1)
     loop = {v: (-1 if m.partner(v) is not None else 0) for v in inst.vertices}
     return EdgeWeighting(edge, loop)
 
@@ -112,7 +115,7 @@ def delta(inst: Instance, m: Matching, n: Matching) -> int:
             total -= 1
         elif pn is None:
             total += 1
-        elif inst.ranks.prefers(u, pm, pn):
+        elif inst.rank[u][pm] < inst.rank[u][pn]:
             total += 1
         else:
             total -= 1

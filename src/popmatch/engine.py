@@ -38,7 +38,6 @@ __all__ = [
     "gale_shapley",
     "build_gprime",
     "solve_dominant",
-    "stable_vertex_set",
 ]
 
 
@@ -154,8 +153,3 @@ def solve_dominant(inst: Instance) -> tuple[Matching, dict[str, int]]:
     gp = build_gprime(inst)
     m_exp = gale_shapley(gp.instance)
     return gp.project(m_exp), gp.witness(m_exp)
-
-
-def stable_vertex_set(inst: Instance) -> frozenset[str]:
-    """The vertex set covered by every stable matching."""
-    return gale_shapley(inst).matched_vertices()

@@ -11,11 +11,13 @@ A vertex whose preference line is omitted has an empty list.  Vertex
 identifiers are opaque tokens without whitespace and without ``:`` or ``#``.
 
 Matching file format: one ``<u> <v>`` pair per line, ``#`` comments allowed.
+Witness file format: one ``<vertex> <integer value>`` pair per line, likewise.
 
 Identifiers are kept as strings; dense integer ids are assigned in file order
-and exposed through :attr:`Instance.index` for algorithmic code.  Instances
-and matchings are immutable after construction and all functions here are
-pure.
+and exposed through :attr:`Instance.index` for algorithmic code.  Each
+instance keeps its preferences in one rank table, :attr:`Instance.rank`,
+which every layer reads for edges and comparisons.  Instances and matchings
+are immutable after construction and all functions here are pure.
 
 Each model type has one rule set, ``_validate`` for instances and
 ``Matching._pair_up`` for matchings, which reports the first fault through a
@@ -25,7 +27,8 @@ with the message.  The parsers check the syntax first, then raise
 ``where``, so a syntax fault is reported before any rule fault.
 ``parse_instance`` then builds through the private ``Instance._checked``,
 which runs only the derivation, as do the three-copy expansion and
-:meth:`Instance.restrict`.
+:meth:`Instance.restrict`.  A witness is no model type: ``parse_witness``
+checks its rules (known vertices, each once, integer values) line by line.
 """
 
 from __future__ import annotations
@@ -36,14 +39,13 @@ from typing import Collection, Iterable, Mapping, Sequence
 
 __all__ = [
     "ParseError",
-    "RankIndex",
     "Instance",
     "Matching",
     "parse_instance",
     "serialize_instance",
     "parse_matching",
     "serialize_matching",
-    "matched_vertices",
+    "parse_witness",
 ]
 
 _TOKEN = re.compile(r"\S+")
@@ -135,29 +137,6 @@ def _validate(
                 fail(f"asymmetric adjacency: {u!r} lists {v!r} but not back", (u, None))
 
 
-class RankIndex:
-    """Constant-time preference comparison.
-
-    ``rank(u, v)`` is the 1-based position of ``v`` in ``u``'s list (1 is the
-    best choice); ranks form a bijection onto ``1..deg(u)``.
-    """
-
-    def __init__(self, prefs: Mapping[str, Sequence[str]]):
-        self._rank: dict[str, dict[str, int]] = {
-            u: {v: i + 1 for i, v in enumerate(lst)} for u, lst in prefs.items()
-        }
-
-    def rank(self, u: str, v: str) -> int:
-        try:
-            return self._rank[u][v]
-        except KeyError:
-            raise ValueError(f"{v!r} is not on the preference list of {u!r}") from None
-
-    def prefers(self, u: str, v: str, w: str) -> bool:
-        """True iff ``u`` ranks ``v`` strictly better than ``w``."""
-        return self.rank(u, v) < self.rank(u, w)
-
-
 class Instance:
     """A strict-preference matching instance, marriage or roommates kind.
 
@@ -170,7 +149,9 @@ class Instance:
     index:     dict vertex -> dense integer id (file order).
     edges:     tuple of canonical edges, ordered by first appearance when
                scanning preference lists in vertex order.
-    ranks:     a :class:`RankIndex` over ``prefs``.
+    rank:      dict vertex u -> dict neighbor v -> v's 1-based position in
+               u's list (1 is the best choice).  Its key sets are the
+               adjacency, so ``v in rank[u]`` tests an edge.
 
     The constructor checks every rule of ``_validate`` (identifiers, side
     tags, known neighbours, no self-loops or repeats, edges that cross
@@ -225,9 +206,8 @@ class Instance:
             v: tuple(prefs.get(v, ())) for v in self.vertices
         }
         self.index: dict[str, int] = {v: i for i, v in enumerate(self.vertices)}
-        self.ranks = RankIndex(self.prefs)
-        self.adj: dict[str, frozenset[str]] = {
-            u: frozenset(lst) for u, lst in self.prefs.items()
+        self.rank: dict[str, dict[str, int]] = {
+            u: {v: i for i, v in enumerate(lst, 1)} for u, lst in self.prefs.items()
         }
 
         # Adjacency is symmetric, so each edge is first seen while scanning
@@ -263,7 +243,7 @@ class Instance:
         return len(self.prefs[u])
 
     def has_edge(self, u: str, v: str) -> bool:
-        return v in self.adj.get(u, frozenset())
+        return v in self.rank.get(u, ())
 
     def canonical_edge(self, u: str, v: str) -> tuple[str, str]:
         """Orient an edge: A-vertex first for marriage, lower id first otherwise."""
@@ -314,10 +294,10 @@ class Matching:
         self.instance = inst
         edges: list[tuple[str, str]] = []
         partner: dict[str, str] = {}
-        adj = inst.adj
+        rank = inst.rank
         for k, (u, v) in enumerate(pairs):
-            if v not in adj.get(u, ()):
-                end = int(u in adj and v not in adj)
+            if v not in rank.get(u, ()):
+                end = int(u in rank and v not in rank)
                 fail(f"({u!r}, {v!r}) is not an edge of the instance", (k, end))
             e = inst.canonical_edge(u, v)
             if e[0] in partner or e[1] in partner:
@@ -360,11 +340,6 @@ class Matching:
     def __repr__(self) -> str:
         inside = ", ".join(f"({u},{v})" for u, v in self.edges)
         return f"Matching{{{inside}}}"
-
-
-def matched_vertices(m: Matching) -> frozenset[str]:
-    """Exactly the endpoints of edges in ``m``."""
-    return m.matched_vertices()
 
 
 # -- parsing ---------------------------------------------------------------
@@ -478,3 +453,23 @@ def parse_matching(text: str, inst: Instance) -> Matching:
 
 def serialize_matching(m: Matching) -> str:
     return "".join(f"{u} {v}\n" for u, v in m.edges)
+
+
+def parse_witness(text: str, inst: Instance) -> dict[str, int]:
+    """Parse witness-file content against ``inst``; one line at a time."""
+    w: dict[str, int] = {}
+    for ln, body in _lines(text):
+        toks = body.split()
+        if len(toks) != 2:
+            raise ParseError("expected '<vertex> <value>'", ln, _column(body, 0))
+        u, val = toks
+        if u not in inst.index:
+            raise ParseError(f"unknown vertex {u!r}", ln, _column(body, 0))
+        if u in w:
+            raise ParseError(f"duplicate vertex {u!r}", ln, _column(body, 0))
+        try:
+            w[u] = int(val)
+        except ValueError:
+            message = f"witness value must be an integer, got {val!r}"
+            raise ParseError(message, ln, _column(body, 1)) from None
+    return w

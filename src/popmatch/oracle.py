@@ -171,7 +171,7 @@ def _stable_search(inst, lo, c, pairs, out, nodes, node_budget) -> int:
         if v in c:
             continue
         c[u] = i
-        c[v] = inst.ranks.rank(v, u)
+        c[v] = inst.rank[v][u]
         if not _fixed_blocks(inst, c, u) and not _fixed_blocks(inst, c, v):
             pairs.append((u, v))
             nodes = _stable_search(inst, lo + 1, c, pairs, out, nodes, node_budget)
@@ -186,9 +186,9 @@ def _stable_search(inst, lo, c, pairs, out, nodes, node_budget) -> int:
 
 def _fixed_blocks(inst: Instance, c: dict[str, int], w: str) -> bool:
     """Whether fixed ``w`` forms a blocking edge with another fixed vertex:
-    some fixed z that w ranks above its state has rank(z, w) < c(z)."""
-    rank = inst.ranks.rank
-    return any(z in c and rank(z, w) < c[z] for z in inst.prefs[w][: c[w] - 1])
+    some fixed z that w ranks above its state has rank[z][w] < c(z)."""
+    rank = inst.rank
+    return any(z in c and rank[z][w] < c[z] for z in inst.prefs[w][: c[w] - 1])
 
 
 def brute_sat(f) -> dict[int, bool] | None:

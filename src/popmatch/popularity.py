@@ -60,8 +60,8 @@ def is_stable(inst: Instance, m: Matching) -> tuple[bool, tuple[str, str] | None
 
 def _blocking_edges(inst: Instance, c: dict[str, int]):
     """The blocking edges under partner ranks ``c``, in ``inst.edges`` order."""
-    rank = inst.ranks.rank
-    return ((u, v) for u, v in inst.edges if rank(u, v) < c[u] and rank(v, u) < c[v])
+    rank = inst.rank
+    return ((u, v) for u, v in inst.edges if rank[u][v] < c[u] and rank[v][u] < c[v])
 
 
 # ---------------------------------------------------------------------------
@@ -129,7 +129,7 @@ def _witness(inst: Instance, m: Matching) -> Witness | None:
 class _RestrictedGraph:
     """The restricted graph G_M: the non-matching edges that are not (-,-).
 
-    u votes for a neighbor v other than M(u) iff rank(u, v) < c(u), the
+    u votes for a neighbor v other than M(u) iff rank[u][v] < c(u), the
     partner rank of ``election``.  ``adj[u]`` lists, in u's order, each v
     other than M(u) for which either end votes for the other, flagged when
     both do (a blocking edge, also listed in ``pp_edges``).
@@ -139,7 +139,7 @@ class _RestrictedGraph:
         self.inst = inst
         self.m = m
         c = _partner_ranks(inst, m)
-        rank = inst.ranks.rank
+        rank = inst.rank
         self.partner = {u: m.partner(u) for u in inst.vertices}
         self.free = [u for u, p in self.partner.items() if p is None]
         self.adj: dict[str, list[tuple[str, bool]]] = {}
@@ -147,7 +147,7 @@ class _RestrictedGraph:
             cu = c[u]
             row = self.adj[u] = []
             for i, v in enumerate(lst, 1):  # the partner, at i == cu, fails both tests
-                back = rank(v, u) < c[v]
+                back = rank[v][u] < c[v]
                 if i < cu or back:
                     row.append((v, i < cu and back))
         self.pp_edges = list(_blocking_edges(inst, c))
@@ -424,13 +424,10 @@ def verify_witness(
     return not bad, bad
 
 
-def find_witness_small(inst: Instance, m: Matching, bound: int = 24) -> Witness | None:
+def find_witness_small(inst: Instance, m: Matching) -> Witness | None:
     """A witness for m, or None when m is unpopular (marriage instances).
 
-    Solved by difference constraints in O(|M|·|E|) time; instances of more
-    than ``bound`` vertices are refused with ValueError.
+    Solved by difference constraints in O(|M|·|E|) time.
     """
     inst.require_marriage("the witness search")
-    if len(inst.vertices) > bound:
-        raise ValueError(f"instance exceeds the {bound} vertex witness bound")
     return _witness(inst, m)

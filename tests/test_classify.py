@@ -198,7 +198,7 @@ def test_witnesses_and_transformations_past_enumeration():
         for m in candidates:
             if m is None:  # no unstable popular matching
                 continue
-            w = find_witness_small(inst, m, bound=len(inst.vertices))
+            w = find_witness_small(inst, m)
             assert (w is not None) is is_popular_structure(inst, m)[0], (inst, m)
             if w is None:
                 counts["unpopular"] += 1

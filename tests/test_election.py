@@ -116,7 +116,7 @@ def _brute_delta(inst, m, n):
         elif pm is None:
             total -= 1
         else:
-            total += 1 if inst.ranks.prefers(u, pm, pn) else -1
+            total += 1 if inst.rank[u][pm] < inst.rank[u][pn] else -1
     return total
 
 

@@ -11,6 +11,7 @@ from popmatch.model import (
     ParseError,
     parse_instance,
     parse_matching,
+    parse_witness,
     serialize_instance,
     serialize_matching,
 )
@@ -208,8 +209,7 @@ def _reference_fields(kind, vertices, prefs, side):
         "side": None if side is None else dict(side),
         "index": index,
         "edges": tuple(edges),
-        "adj": {u: frozenset(lst) for u, lst in lists.items()},
-        "ranks": {u: {v: i + 1 for i, v in enumerate(lst)} for u, lst in lists.items()},
+        "rank": {u: {v: i + 1 for i, v in enumerate(lst)} for u, lst in lists.items()},
     }
 
 
@@ -221,8 +221,7 @@ def _fields(inst):
         "side": inst.side,
         "index": inst.index,
         "edges": inst.edges,
-        "adj": inst.adj,
-        "ranks": {u: {v: inst.ranks.rank(u, v) for v in lst} for u, lst in inst.prefs.items()},
+        "rank": inst.rank,
     }
 
 
@@ -369,6 +368,47 @@ def test_matching_fault_position(text, line, column, fig1, tmp_path, capsys):
     argv = ["verify", "--stable", str(tmp_path / "fig1.inst"), str(tmp_path / "bad.match")]
     assert run(argv) == 2
     assert capsys.readouterr().err.startswith(f"error: line {line}, column {column}: ")
+
+
+# Each witness row pins the whole message as well as its position.
+_WITNESS_FAULTS = [
+    ("two-tokens-short", "a1 0\n  b1\n", 2, 3, "expected '<vertex> <value>'"),
+    ("three-tokens", "a1 0 1\n", 1, 1, "expected '<vertex> <value>'"),
+    ("non-integer", "a1 x\n", 1, 4, "witness value must be an integer, got 'x'"),
+    (
+        "non-integer-indented",
+        "a1 0\n\tb1   1.5 # c\n",
+        2,
+        7,
+        "witness value must be an integer, got '1.5'",
+    ),
+    ("unknown-indented", "   zz 1\n", 1, 4, "unknown vertex 'zz'"),
+    ("duplicate-indented", "a1 0\n# gap\n   a1 1\n", 3, 4, "duplicate vertex 'a1'"),
+]
+
+
+@pytest.mark.parametrize(
+    "text, line, column, message",
+    [row[1:] for row in _WITNESS_FAULTS],
+    ids=[row[0] for row in _WITNESS_FAULTS],
+)
+def test_witness_fault_position(text, line, column, message, fig1, tmp_path, capsys):
+    with pytest.raises(ParseError) as err:
+        parse_witness(text, fig1)
+    assert (err.value.line, err.value.column) == (line, column)
+    assert str(err.value) == f"line {line}, column {column}: {message}"
+    (tmp_path / "fig1.inst").write_text(FIG1_TEXT)
+    (tmp_path / "m1.match").write_text("a1 b1\na2 b2\n")
+    (tmp_path / "bad.witness").write_text(text)
+    files = [str(tmp_path / name) for name in ("fig1.inst", "m1.match", "bad.witness")]
+    assert run(["verify", "--witness", *files]) == 2
+    assert capsys.readouterr().err == f"error: line {line}, column {column}: {message}\n"
+
+
+def test_parse_witness_reads_values(fig1):
+    text = "# header\na1 1\n\n  b1 -1  # tail\na2 +0\n"
+    assert parse_witness(text, fig1) == {"a1": 1, "b1": -1, "a2": 0}
+    assert parse_witness("", fig1) == {}
 
 
 def _read_lists(text):

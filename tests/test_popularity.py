@@ -65,11 +65,6 @@ def test_no_witness_for_unpopular(fig1, m3):
     assert find_witness_small(fig1, m3) is None
 
 
-def test_witness_bound_enforced(fig1, m1):
-    with pytest.raises(ValueError):
-        find_witness_small(fig1, m1, bound=4)
-
-
 def test_verify_witness_requires_all_vertices(fig1, m1):
     with pytest.raises(ValueError):
         verify_witness(fig1, m1, {"a1": 0})
