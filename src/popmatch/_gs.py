@@ -14,12 +14,18 @@ down its list until accepted or exhausted.  Runs support
   * a seed matching (seeded pairs start matched; a dumped seeded proposer
     restarts from the top of its list).
 
+``compile_view`` compiles a marriage instance by its names;
+``expansion_view`` compiles its three-copy expansion straight from the
+instance's rank table by index arithmetic, and ``expansion_probes`` and
+``project_expansion`` are the same arithmetic for the probe's per-edge
+arrays and for the way back to the original instance.
+
 The pure-Python functions are the reference semantics.  ``probe_edges``
 additionally has a compiled twin, the C kernel in ``_probe.c`` (one batched
 sweep, state reset in-kernel, free proposers on a LIFO stack), which the
-classifier uses on large inputs; the two are differentially tested.  The
-kernel is built on first use with the system C compiler into the user cache
-directory and loaded through ``ctypes``.
+classifier runs on every input it can load the kernel for; the two are
+differentially tested.  The kernel is built on first use with the system C
+compiler into the user cache directory and loaded through ``ctypes``.
 """
 
 from __future__ import annotations
@@ -43,22 +49,22 @@ BIG = 1 << 30
 
 @dataclass
 class BipartiteView:
-    """Compiled CSR form of a marriage instance (proposers = side A)."""
+    """Compiled CSR form of a marriage instance (proposers = side A).
 
-    prop_ids: list[str]
-    resp_ids: list[str]
-    prop_index: dict[str, int]
-    resp_index: dict[str, int]
+    Proposer p and responder r are the p-th A-side and r-th B-side vertex
+    of the compiled instance, in vertex order.
+    """
+
     off: list[int]          # len P+1, slice bounds into adj
     adj: list[int]          # responder ids, preference order per proposer
     crossrank: list[int]    # proposer's 0-based rank in the responder's list
+    n_prop: int
+    n_resp: int
 
-    def matching(self, inst: Instance, prop_partner: list[int]) -> Matching:
-        """The matching of ``inst`` (this view's instance) in a partner array; -1 is unmatched."""
-        pairs = [
-            (self.prop_ids[p], self.resp_ids[r]) for p, r in enumerate(prop_partner) if r >= 0
-        ]
-        return Matching(inst, pairs)
+
+def side_index(inst: Instance) -> dict[str, int]:
+    """Each vertex's position on its own side, in vertex order: its compiled id."""
+    return {v: i for side in (inst.side_a(), inst.side_b()) for i, v in enumerate(side)}
 
 
 def compile_view(inst: Instance) -> BipartiteView:
@@ -66,30 +72,98 @@ def compile_view(inst: Instance) -> BipartiteView:
     cached = getattr(inst, "_prop_view", None)
     if cached is not None:
         return cached
-    prop_ids = list(inst.side_a())
-    resp_ids = list(inst.side_b())
-    prop_index = {v: i for i, v in enumerate(prop_ids)}
-    resp_index = {v: i for i, v in enumerate(resp_ids)}
+    side_a = inst.side_a()
+    slot = side_index(inst)
     rank = inst.rank
     off = [0]
     adj: list[int] = []
     crossrank: list[int] = []
-    for p in prop_ids:
+    for p in side_a:
         for r in inst.prefs[p]:
-            adj.append(resp_index[r])
+            adj.append(slot[r])
             crossrank.append(rank[r][p] - 1)
         off.append(len(adj))
-    view = BipartiteView(
-        prop_ids=prop_ids,
-        resp_ids=resp_ids,
-        prop_index=prop_index,
-        resp_index=resp_index,
-        off=off,
-        adj=adj,
-        crossrank=crossrank,
-    )
+    view = BipartiteView(off, adj, crossrank, len(side_a), len(inst.vertices) - len(side_a))
     inst._prop_view = view  # instances are immutable, so the view is too
     return view
+
+
+# -- the three-copy expansion ----------------------------------------------
+#
+# ``engine`` describes G' and numbers its copies: for the i-th vertex a of
+# side A and the j-th vertex b of side B, the proposers a+ = 2i, a- = 2i+1,
+# d(b) = 2|A|+j and the responders b+ = 2j, b- = 2j+1, d(a) = 2|B|+i.
+
+
+def expansion_view(inst: Instance) -> BipartiteView:
+    """The compiled expansion of a marriage instance (cached on the instance)."""
+    inst.require_marriage("the expansion")
+    cached = getattr(inst, "_expansion_view", None)
+    if cached is not None:
+        return cached
+    side_a, side_b = inst.side_a(), inst.side_b()
+    slot = side_index(inst)
+    prefs, rank = inst.prefs, inst.rank
+    nb2 = 2 * len(side_b)
+    off = [0]
+    adj: list[int] = []
+    crossrank: list[int] = []
+    for i, a in enumerate(side_a):
+        b_plus = [2 * slot[b] for b in prefs[a]]
+        ranks = [rank[b][a] for b in prefs[a]]
+        # a+ ranks b- in a's order, then d(a); a- ranks d(a) first, then b+
+        adj += [r + 1 for r in b_plus] + [nb2 + i, nb2 + i] + b_plus
+        crossrank += ranks + [0, 1] + [k - 1 for k in ranks]
+        off += [off[-1] + len(ranks) + 1, off[-1] + 2 * len(ranks) + 2]
+    for j, b in enumerate(side_b):
+        # d(b) ranks b+ (where it is last) before b- (where it is first)
+        adj += [2 * j, 2 * j + 1]
+        crossrank += [len(prefs[b]), 0]
+        off.append(off[-1] + 2)
+    view = BipartiteView(off, adj, crossrank, 2 * len(side_a) + len(side_b), nb2 + len(side_a))
+    inst._expansion_view = view
+    return view
+
+
+def expansion_probes(inst: Instance) -> tuple[list[int], ...]:
+    """The eight probe arrays below for every edge of ``inst``, in edge order."""
+    slot = side_index(inst)
+    rank = inst.rank
+    nb2 = 2 * len(inst.side_b())
+    ia = [slot[a] for a, _ in inst.edges]
+    jb = [slot[b] for _, b in inst.edges]
+    return (
+        [2 * i for i in ia],
+        [2 * i + 1 for i in ia],
+        [nb2 + i for i in ia],
+        [2 * j for j in jb],
+        [2 * j + 1 for j in jb],
+        [rank[a][b] for a, b in inst.edges],
+        [rank[b][a] - 1 for a, b in inst.edges],
+        [len(inst.prefs[b]) for _, b in inst.edges],
+    )
+
+
+def project_expansion(inst: Instance, prop_partner: list[int]) -> tuple[Matching, dict[str, int]]:
+    """The matching of ``inst`` an expansion matching encodes, and its witness.
+
+    Each a-copy matched to a b-copy gives the pair (a, b); a vertex's witness
+    value is +1 when its + copy holds a partner other than its dummy, else
+    -1 when its - copy does, else 0.
+    """
+    side_a, side_b = inst.side_a(), inst.side_b()
+    nb2 = 2 * len(side_b)
+    pairs = []
+    held: tuple[set[str], set[str]] = (set(), set())  # by the + copy, by the - copy
+    for p in range(2 * len(side_a)):
+        r = prop_partner[p]
+        if 0 <= r < nb2:
+            a, b = side_a[p >> 1], side_b[r >> 1]
+            pairs.append((a, b))
+            held[p & 1].add(a)
+            held[r & 1].add(b)
+    witness = {u: 1 if u in held[0] else -1 if u in held[1] else 0 for u in inst.vertices}
+    return Matching(inst, pairs), witness
 
 
 @dataclass
@@ -109,8 +183,8 @@ def run_proposals(
 ) -> ProposalResult:
     """Reference implementation of the proposal loop."""
     off, adj, crossrank = view.off, view.adj, view.crossrank
-    P = len(view.prop_ids)
-    R = len(view.resp_ids)
+    P = view.n_prop
+    R = view.n_resp
     prop_partner = [-1] * P
     resp_partner = [-1] * R
     cur_rank = [BIG] * R
@@ -177,7 +251,7 @@ def output_is_stable(view: BipartiteView, res: ProposalResult) -> bool:
     covers all candidates.
     """
     off, adj, crossrank = view.off, view.adj, view.crossrank
-    for p in range(len(view.prop_ids)):
+    for p in range(view.n_prop):
         for pos in range(off[p], res.accept_pos[p]):
             if crossrank[pos] < res.cur_rank[adj[pos]]:
                 return False
@@ -348,7 +422,7 @@ def probe_edges_compiled(view: BipartiteView, *edge_arrays) -> int:
     if kernel is None:
         raise ProbeUnavailable(reason)
     e_aplus, e_aminus, _, e_bplus, _, e_start, _, _ = edge_arrays
-    P, R = len(view.prop_ids), len(view.resp_ids)
+    P, R = view.n_prop, view.n_resp
     off = view.off
     n = len(e_aplus)
     ok = (

@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import _gs
-from .engine import build_gprime, gale_shapley
+from .engine import gale_shapley
 from .model import Instance, Matching
 from .popularity import Witness, is_dominant, is_stable, verify_witness
 
@@ -93,15 +93,13 @@ def to_unstable_dominant(
         raise ValueError("matching is stable; nothing to transform")
     zero = dec.a0 | dec.b0
     g0 = inst.restrict(zero)
-    gp0 = build_gprime(g0)
-    seed = Matching(
-        gp0.instance, [(gp0.plus[a], gp0.minus[b]) for a, b in dec.m0]
-    )
-    m_exp = gale_shapley(gp0.instance, seed)
-    d = gp0.project(m_exp)
+    slot = _gs.side_index(g0)
+    seeds = [(2 * slot[a], 2 * slot[b] + 1) for a, b in dec.m0]  # (a+, b-)
+    res = _gs.run_proposals(_gs.expansion_view(g0), seeds=seeds)
+    d, beta0 = _gs.project_expansion(g0, res.prop_partner)
     mstar = Matching(inst, list(dec.m1) + list(d.edges))
     beta = {u: w[u] for u in inst.vertices if u not in zero}
-    beta.update(gp0.witness(m_exp))
+    beta.update(beta0)
     return mstar, beta
 
 
@@ -127,25 +125,6 @@ def to_nondominant_stable(inst: Instance, m: Matching, w: Witness) -> Matching:
 # the quadratic decision
 
 
-def _probe_arrays(inst: Instance, gp, view):
-    e_aplus, e_aminus, e_dbresp = [], [], []
-    e_bplus, e_bminus, e_start, e_posb, e_degb = [], [], [], [], []
-    rank = inst.rank
-    for a, b in inst.edges:
-        e_aplus.append(view.prop_index[gp.plus[a]])
-        e_aminus.append(view.prop_index[gp.minus[a]])
-        e_dbresp.append(view.resp_index[gp.dummy[a]])
-        e_bplus.append(view.resp_index[gp.plus[b]])
-        e_bminus.append(view.resp_index[gp.minus[b]])
-        e_start.append(rank[a][b])
-        e_posb.append(rank[b][a] - 1)
-        e_degb.append(inst.degree(b))
-    return e_aplus, e_aminus, e_dbresp, e_bplus, e_bminus, e_start, e_posb, e_degb
-
-
-_KERNEL_MIN_EDGES = 200
-
-
 def exists_unstable_popular(
     inst: Instance, stats: dict | None = None, backend: str = "auto"
 ) -> Matching | None:
@@ -153,24 +132,24 @@ def exists_unstable_popular(
 
     Scans edges in file order and returns the projection for the first edge
     whose constrained run passes the acceptance checks; None certifies that
-    every popular matching of the instance is stable.  ``backend`` may force
-    "python" (the reference probe) or "compiled" (the C kernel, built on
-    first use with the system C compiler; raises RuntimeError naming the
-    missing compiler or the build error).  "auto" uses the compiled probe on
-    inputs of at least ``_KERNEL_MIN_EDGES`` edges and falls back to Python
-    when it cannot be built.  ``stats`` receives the run count and chosen
-    backend.
+    every popular matching of the instance is stable.  The probe runs on the
+    compiled expansion.  ``backend`` may force "python" (the reference
+    probe) or "compiled" (the C kernel, built on first use with the system C
+    compiler; raises RuntimeError naming the missing compiler or the build
+    error).  "auto" uses the compiled probe on every input and falls back to
+    Python only when the kernel cannot be built or loaded here, which is
+    decided once per process.  ``stats`` receives the run count and the
+    backend that ran.
     """
     inst.require_marriage("the unstable-popular decision")
     if backend not in ("auto", "python", "compiled"):
         raise ValueError(f"unknown backend {backend!r}")
-    gp = build_gprime(inst)
-    view = _gs.compile_view(gp.instance)
-    arrays = _probe_arrays(inst, gp, view)
+    view = _gs.expansion_view(inst)
+    arrays = _gs.expansion_probes(inst)
     m_edges = len(inst.edges)
 
     hit = None
-    if backend == "compiled" or (backend == "auto" and m_edges >= _KERNEL_MIN_EDGES):
+    if backend != "python":
         try:
             hit = _gs.probe_edges_compiled(view, *arrays)
         except _gs.ProbeUnavailable:
@@ -194,7 +173,7 @@ def exists_unstable_popular(
         start_rel={arrays[0][hit]: arrays[5][hit]},
         cutoff={arrays[4][hit]: 1},
     )
-    return gp.project(view.matching(gp.instance, res.prop_partner))
+    return _gs.project_expansion(inst, res.prop_partner)[0]
 
 
 def exists_unstable_popular_pairwise(inst: Instance) -> Matching | None:
@@ -206,18 +185,18 @@ def exists_unstable_popular_pairwise(inst: Instance) -> Matching | None:
     that good.  Verdicts always agree with the quadratic scan.
     """
     inst.require_marriage("the unstable-popular decision")
-    gp = build_gprime(inst)
-    view = _gs.compile_view(gp.instance)
+    view = _gs.expansion_view(inst)
+    slot = _gs.side_index(inst)
     rank = inst.rank
     for a, b in inst.edges:
         pb = inst.prefs[b]
-        a_plus = view.prop_index[gp.plus[a]]
-        b_plus = view.resp_index[gp.plus[b]]
+        a_plus = 2 * slot[a]
+        b_plus = 2 * slot[b]
         for v in inst.prefs[a][rank[a][b] :]:
-            v_minus = view.resp_index[gp.minus[v]]
+            v_minus = 2 * slot[v] + 1
             cut_v = rank[v][a] + 1
             for u in pb[rank[b][a] :]:
-                u_minus = view.prop_index[gp.minus[u]]
+                u_minus = 2 * slot[u] + 1
                 cut_b = rank[b][u]
                 res = _gs.run_proposals(
                     view, cutoff={v_minus: cut_v, b_plus: cut_b}
@@ -228,5 +207,5 @@ def exists_unstable_popular_pairwise(inst: Instance) -> Matching | None:
                     continue
                 if not _gs.output_is_stable(view, res):
                     continue
-                return gp.project(view.matching(gp.instance, res.prop_partner))
+                return _gs.project_expansion(inst, res.prop_partner)[0]
     return None

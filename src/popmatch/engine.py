@@ -10,14 +10,23 @@ list.  With a seed the stability guarantee is the seeded protocol itself,
 not stability in general; the two seeded runs used by the transformation
 algorithms are stable by construction and the tests check exactly those.
 
-``build_gprime`` materializes the bidirected view of a marriage instance as
-an ordinary marriage instance on three vertices per original vertex: the
-outgoing copy ``u+`` ranks the incoming copies of u's neighbors in u's
-order and its own dummy ``d(u)`` last; the incoming copy ``u-`` ranks the
-dummy first and then the outgoing copies; the dummy prefers ``u+`` to
-``u-``.  Each original edge (a,b) appears as (a+,b-) and (a-,b+).  Stable
-matchings of the expansion project to dominant matchings of the original,
-and which copy of a vertex is matched encodes its witness value.
+The three-copy expansion G' of a marriage instance has three copies of
+each original vertex u: the outgoing copy ``u+`` ranks the incoming copies
+of u's neighbors in u's order and its own dummy ``d(u)`` last; the incoming
+copy ``u-`` ranks the dummy first and then the outgoing copies; the dummy
+prefers ``u+`` to ``u-``.  Each original edge (a,b) appears as (a+,b-) and
+(a-,b+).  Stable matchings of the expansion project to dominant matchings
+of the original, and which copy of a vertex is matched encodes its witness
+value.
+
+G' is compiled once, by index arithmetic, in ``_gs.expansion_view``.  The
+i-th vertex of side A and the j-th of side B get the proposer ids a+ = 2i,
+a- = 2i+1 and responder id d(a) = 2|B|+i, and the responder ids b+ = 2j,
+b- = 2j+1 and proposer id d(b) = 2|A|+j.  ``solve_dominant`` and the
+classifier run on these ids and map a matching back by the same arithmetic,
+never naming a copy.  ``build_gprime`` is the naming layer over the
+compiled form: it names the ids in that order (a+, a- per a, then d(b) per
+b, then b+, b- per b, then d(a) per a) and reads each list off the view.
 
 The expansion of a valid instance is valid by construction, so it is built
 without re-running the instance checks.  Copy names cannot collide: a valid
@@ -51,9 +60,12 @@ def gale_shapley(inst: Instance, seed: Matching | None = None) -> Matching:
     if seed is not None:
         if seed.instance is not inst and seed.instance != inst:
             raise ValueError("seed matching belongs to a different instance")
-        seeds = [(view.prop_index[a], view.resp_index[b]) for a, b in seed.edges]
+        slot = _gs.side_index(inst)
+        seeds = [(slot[a], slot[b]) for a, b in seed.edges]
     res = _gs.run_proposals(view, seeds=seeds)
-    return view.matching(inst, res.prop_partner)
+    side_a, side_b = inst.side_a(), inst.side_b()
+    pairs = [(side_a[p], side_b[r]) for p, r in enumerate(res.prop_partner) if r >= 0]
+    return Matching(inst, pairs)
 
 
 @dataclass(frozen=True)
@@ -96,8 +108,8 @@ class GPrime:
 
 
 def build_gprime(inst: Instance) -> GPrime:
-    """Three-copy expansion of a marriage instance (cached on the instance)."""
-    inst.require_marriage("the expansion")
+    """The expansion as a named instance (cached on the instance)."""
+    view = _gs.expansion_view(inst)
     cached = getattr(inst, "_gprime", None)
     if cached is not None:
         return GPrime(inst, *cached)
@@ -105,32 +117,22 @@ def build_gprime(inst: Instance) -> GPrime:
     plus = {u: f"{u}+" for u in inst.vertices}
     minus = {u: f"{u}-" for u in inst.vertices}
     dummy = {u: f"d({u})" for u in inst.vertices}
+    side_a, side_b = inst.side_a(), inst.side_b()
+    props = [copy[a] for a in side_a for copy in (plus, minus)] + [dummy[b] for b in side_b]
+    resps = [copy[b] for b in side_b for copy in (plus, minus)] + [dummy[a] for a in side_a]
 
-    a_orig = inst.side_a()
-    b_orig = inst.side_b()
-    vertices: list[str] = []
-    side: dict[str, str] = {}
-    for a in a_orig:
-        vertices += [plus[a], minus[a]]
-        side[plus[a]] = side[minus[a]] = "A"
-    for b in b_orig:
-        vertices.append(dummy[b])
-        side[dummy[b]] = "A"
-    for b in b_orig:
-        vertices += [plus[b], minus[b]]
-        side[plus[b]] = side[minus[b]] = "B"
-    for a in a_orig:
-        vertices.append(dummy[a])
-        side[dummy[a]] = "B"
-
+    off, adj, crossrank = view.off, view.adj, view.crossrank
     prefs: dict[str, list[str]] = {}
-    for u in inst.vertices:
-        nbrs = inst.prefs[u]
-        prefs[plus[u]] = [minus[v] for v in nbrs] + [dummy[u]]
-        prefs[minus[u]] = [dummy[u]] + [plus[v] for v in nbrs]
-        prefs[dummy[u]] = [plus[u], minus[u]]
-
-    gpi = Instance._checked("marriage", vertices, prefs, side)
+    ranked: list[list[tuple[int, str]]] = [[] for _ in resps]
+    for p, name in enumerate(props):
+        slots = range(off[p], off[p + 1])
+        prefs[name] = [resps[adj[k]] for k in slots]
+        for k in slots:
+            ranked[adj[k]].append((crossrank[k], name))
+    for r, name in enumerate(resps):
+        prefs[name] = [q for _, q in sorted(ranked[r])]
+    side = dict.fromkeys(props, "A") | dict.fromkeys(resps, "B")
+    gpi = Instance._checked("marriage", props + resps, prefs, side)
 
     edge_origin: dict[tuple[str, str], tuple[tuple[str, str], str]] = {}
     for a, b in inst.edges:  # a is on side A, and so are its copies
@@ -150,6 +152,5 @@ def solve_dominant(inst: Instance) -> tuple[Matching, dict[str, int]]:
     matching; projecting gives a dominant matching of the original
     instance, and the matched copies give the witness values.
     """
-    gp = build_gprime(inst)
-    m_exp = gale_shapley(gp.instance)
-    return gp.project(m_exp), gp.witness(m_exp)
+    res = _gs.run_proposals(_gs.expansion_view(inst))
+    return _gs.project_expansion(inst, res.prop_partner)

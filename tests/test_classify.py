@@ -9,14 +9,12 @@ from hypothesis import strategies as st
 
 from popmatch import _gs
 from popmatch.classify import (
-    _KERNEL_MIN_EDGES,
-    _probe_arrays,
     exists_unstable_popular,
     exists_unstable_popular_pairwise,
     to_nondominant_stable,
     to_unstable_dominant,
 )
-from popmatch.engine import build_gprime, gale_shapley, solve_dominant
+from popmatch.engine import gale_shapley, solve_dominant
 from popmatch.gen import chain_instance, random_marriage, random_maximal_matching
 from popmatch.oracle import classify_exhaustive
 from popmatch.popularity import (
@@ -102,9 +100,8 @@ def test_compiled_probe_hit_index_matches_reference():
     hits = 0
     for _ in range(200):
         inst = random_marriage(rng, rng.randint(1, 8), rng.randint(1, 8), rng.uniform(0.3, 1.0))
-        gp = build_gprime(inst)
-        view = _gs.compile_view(gp.instance)
-        arrays = _probe_arrays(inst, gp, view)
+        view = _gs.expansion_view(inst)
+        arrays = _gs.expansion_probes(inst)
         hit = _gs.probe_edges_python(view, *arrays)
         assert _gs.probe_edges_compiled(view, *arrays) == hit
         hits += hit >= 0
@@ -139,21 +136,39 @@ def test_probe_build_names_missing_compiler(tmp_path, monkeypatch):
         _gs.build_probe(tmp_path / "popmatch")
 
 
-def test_auto_backend_threshold_and_fallback(fig1, monkeypatch):
+def test_auto_backend_tries_compiled_then_falls_back(fig1, monkeypatch):
+    """"auto" hands every input to the compiled probe, small or large."""
+    chain = chain_instance(200)
+    want = {}
+    for inst in (fig1, chain):
+        want[inst] = {}
+        exists_unstable_popular(inst, stats=want[inst], backend="python")
+    assert want[chain]["runs"] == 200 and want[fig1]["runs"] < len(fig1.edges)
+
     calls = []
+
+    def kernel(view, *arrays):  # the reference stands in for the C kernel
+        calls.append(len(arrays[0]))
+        return _gs.probe_edges_python(view, *arrays)
+
+    monkeypatch.setattr(_gs, "probe_edges_compiled", kernel)
+    for inst in (fig1, chain):
+        stats = {}
+        exists_unstable_popular(inst, stats=stats)
+        assert stats == {"backend": "compiled", "runs": want[inst]["runs"]}
+    assert calls == [len(fig1.edges), 200]
 
     def unavailable(view, *arrays):
         calls.append(len(arrays[0]))
         raise _gs.ProbeUnavailable("no compiler here")
 
+    calls.clear()
     monkeypatch.setattr(_gs, "probe_edges_compiled", unavailable)
-    stats = {}
-    exists_unstable_popular(fig1, stats=stats)
-    assert calls == [] and stats["backend"] == "python"  # small input: no build
-    inst = chain_instance(_KERNEL_MIN_EDGES)
-    assert exists_unstable_popular(inst, stats=stats) is None
-    assert calls == [_KERNEL_MIN_EDGES]
-    assert stats == {"backend": "python", "runs": _KERNEL_MIN_EDGES}
+    for inst in (fig1, chain):
+        stats = {}
+        exists_unstable_popular(inst, stats=stats)
+        assert stats == want[inst] and stats["backend"] == "python"
+    assert calls == [len(fig1.edges), 200]
     with pytest.raises(RuntimeError, match="no compiler here"):
         exists_unstable_popular(fig1, backend="compiled")
 

@@ -6,9 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from popmatch.engine import build_gprime, gale_shapley, solve_dominant
+from popmatch import _gs
+from popmatch.engine import GPrime, build_gprime, gale_shapley, solve_dominant
 from popmatch.gen import random_marriage
-from popmatch.model import Matching, parse_matching
+from popmatch.model import Instance
 from popmatch.oracle import classify_exhaustive
 from popmatch.popularity import is_dominant, is_stable, verify_witness
 
@@ -108,3 +109,95 @@ def test_expansion_projection_matches_solver(fig1, m2):
 
 def test_stable_vertex_set_fig1(fig1):
     assert gale_shapley(fig1).matched_vertices() == frozenset({"a1", "a2", "b1", "b2"})
+
+
+def _reference_gprime(inst):
+    """The expansion built by name, straight from its definition."""
+    plus = {u: f"{u}+" for u in inst.vertices}
+    minus = {u: f"{u}-" for u in inst.vertices}
+    dummy = {u: f"d({u})" for u in inst.vertices}
+
+    a_orig = inst.side_a()
+    b_orig = inst.side_b()
+    vertices: list[str] = []
+    side: dict[str, str] = {}
+    for a in a_orig:
+        vertices += [plus[a], minus[a]]
+        side[plus[a]] = side[minus[a]] = "A"
+    for b in b_orig:
+        vertices.append(dummy[b])
+        side[dummy[b]] = "A"
+    for b in b_orig:
+        vertices += [plus[b], minus[b]]
+        side[plus[b]] = side[minus[b]] = "B"
+    for a in a_orig:
+        vertices.append(dummy[a])
+        side[dummy[a]] = "B"
+
+    prefs: dict[str, list[str]] = {}
+    for u in inst.vertices:
+        nbrs = inst.prefs[u]
+        prefs[plus[u]] = [minus[v] for v in nbrs] + [dummy[u]]
+        prefs[minus[u]] = [dummy[u]] + [plus[v] for v in nbrs]
+        prefs[dummy[u]] = [plus[u], minus[u]]
+
+    edge_origin = {}
+    for a, b in inst.edges:
+        edge_origin[(plus[a], minus[b])] = ((a, b), "+")
+        edge_origin[(minus[a], plus[b])] = ((a, b), "-")
+    gpi = Instance("marriage", vertices, prefs, side)
+    return GPrime(inst, gpi, plus, minus, dummy, edge_origin)
+
+
+def _reference_probes(inst, ref):
+    """The probe's per-edge arrays, looked up by copy name."""
+    slot = _gs.side_index(ref.instance)
+    rank = inst.rank
+    return (
+        [slot[ref.plus[a]] for a, _ in inst.edges],
+        [slot[ref.minus[a]] for a, _ in inst.edges],
+        [slot[ref.dummy[a]] for a, _ in inst.edges],
+        [slot[ref.plus[b]] for _, b in inst.edges],
+        [slot[ref.minus[b]] for _, b in inst.edges],
+        [rank[a][b] for a, b in inst.edges],
+        [rank[b][a] - 1 for a, b in inst.edges],
+        [inst.degree(b) for _, b in inst.edges],
+    )
+
+
+def test_expansion_matches_named_reference():
+    """The arithmetic expansion, its names, probes and projection, on 2,000 instances.
+
+    Sides of 0 to 6 vertices, any density (so empty sides, isolated
+    vertices and incomplete lists), and the two sides interleaved in the
+    vertex order, which the copy ids must not depend on.
+    """
+    rng = random.Random(31)
+    seen = dict.fromkeys(("empty side", "isolated", "incomplete", "hit"), 0)
+    for _ in range(2000):
+        base = random_marriage(rng, rng.randint(0, 6), rng.randint(0, 6), rng.random())
+        order = list(base.vertices)
+        rng.shuffle(order)
+        inst = Instance("marriage", order, base.prefs, base.side)
+        ref = _reference_gprime(inst)
+
+        assert _gs.expansion_view(inst) == _gs.compile_view(ref.instance)
+        assert _gs.expansion_probes(inst) == _reference_probes(inst, ref)
+        gp = build_gprime(inst)
+        assert gp.instance == ref.instance and gp.instance.edges == ref.instance.edges
+        assert (gp.plus, gp.minus, gp.dummy, gp.edge_origin) == (
+            ref.plus, ref.minus, ref.dummy, ref.edge_origin
+        )
+        m_exp = gale_shapley(ref.instance)
+        m, w = solve_dominant(inst)
+        assert m == ref.project(m_exp)
+        assert list(w.items()) == list(ref.witness(m_exp).items())
+
+        other = {"A": len(inst.side_b()), "B": len(inst.side_a())}
+        seen["empty side"] += 0 in other.values()
+        seen["isolated"] += any(not lst for lst in inst.prefs.values())
+        seen["incomplete"] += any(
+            0 < len(inst.prefs[u]) < other[inst.side[u]] for u in inst.vertices
+        )
+        seen["hit"] += len(m) > 0
+    assert min(seen.values()) > 0, seen
