@@ -7,13 +7,21 @@ table ``inst.rank``: with c(u) = ``rank[u][M(u)]``, or deg(u) + 1 when u is
 unmatched (``_partner_ranks``), u votes +1 for a neighbor v other than M(u)
 exactly when ``rank[u][v]`` < c(u), so an unmatched vertex prefers any
 neighbor.  ``delta(inst, m, n)`` is the number of vertices preferring ``m``
-minus the number preferring ``n``; it compares ``rank[u][M(u)]`` with
-``rank[u][N(u)]`` directly.
+minus the number preferring ``n``: u prefers m exactly when its c under m is
+below its c under n.
+
+The table c is computed once per matching and cached on it, so every reader
+of votes (the labels, the weights, the elections here, and the stability,
+witness and restricted-graph code of ``popularity``) shares it.  The cache
+is served only for the matching's own instance; asked for the votes of a
+matching under another instance, ``_partner_ranks`` computes that
+instance's table and keeps nothing.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import gt, lt
 
 from .model import Instance, Matching
 
@@ -69,7 +77,20 @@ def vote(inst: Instance, u: str, candidate: str, m: Matching) -> int:
 
 
 def _partner_ranks(inst: Instance, m: Matching) -> dict[str, int]:
-    """c(u) = rank[u][M(u)], or deg(u) + 1 for a vertex unmatched in ``m``."""
+    """c(u) = rank[u][M(u)], or deg(u) + 1 for a vertex unmatched in ``m``.
+
+    Cached on ``m`` when ``m`` is a matching of ``inst`` itself; callers
+    must not change the table.  Its keys are in ``inst.vertices`` order.
+    """
+    if m.instance is not inst:
+        return _rank_table(inst, m)
+    c = m._ranks
+    if c is None:
+        c = m._ranks = _rank_table(inst, m)
+    return c
+
+
+def _rank_table(inst: Instance, m: Matching) -> dict[str, int]:
     rank = inst.rank
     c = {u: len(row) + 1 for u, row in rank.items()}
     for a, b in m.edges:
@@ -104,19 +125,11 @@ def weighting(inst: Instance, m: Matching) -> EdgeWeighting:
 
 
 def delta(inst: Instance, m: Matching, n: Matching) -> int:
-    """Vertices preferring ``m`` minus vertices preferring ``n`` (one pass)."""
-    total = 0
-    for u in inst.vertices:
-        pm = m.partner(u)
-        pn = n.partner(u)
-        if pm == pn:
-            continue
-        if pm is None:
-            total -= 1
-        elif pn is None:
-            total += 1
-        elif inst.rank[u][pm] < inst.rank[u][pn]:
-            total += 1
-        else:
-            total -= 1
-    return total
+    """Vertices preferring ``m`` minus vertices preferring ``n``.
+
+    Both tables list the vertices in the same order, and a vertex prefers
+    the matching that gives it the lower partner rank.
+    """
+    cm = _partner_ranks(inst, m).values()
+    cn = _partner_ranks(inst, n).values()
+    return sum(map(lt, cm, cn)) - sum(map(gt, cm, cn))

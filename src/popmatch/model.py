@@ -17,7 +17,11 @@ Identifiers are kept as strings; dense integer ids are assigned in file order
 and exposed through :attr:`Instance.index` for algorithmic code.  Each
 instance keeps its preferences in one rank table, :attr:`Instance.rank`,
 which every layer reads for edges and comparisons.  Instances and matchings
-are immutable after construction and all functions here are pure.
+are immutable after construction and all functions here are pure.  A
+matching lazily caches one derived object, its vote table (the partner
+ranks c(u) of ``election``), which is valid for its own instance only:
+``election`` serves it when asked for the votes of that very instance and
+computes the table afresh for any other.
 
 Each model type has one rule set, ``_validate`` for instances and
 ``Matching._pair_up`` for matchings, which reports the first fault through a
@@ -29,6 +33,8 @@ with the message.  The parsers check the syntax first, then raise
 which runs only the derivation, as do the three-copy expansion and
 :meth:`Instance.restrict`.  A witness is no model type: ``parse_witness``
 checks its rules (known vertices, each once, integer values) line by line.
+Matchings have the same split: ``Matching._checked`` sets the fields of
+``_pair_up`` from pairs that its caller has built canonical and disjoint.
 """
 
 from __future__ import annotations
@@ -280,10 +286,31 @@ class Instance:
 
 
 class Matching:
-    """A set of pairwise disjoint instance edges plus the derived partner map."""
+    """A set of pairwise disjoint instance edges plus the derived partner map.
+
+    ``_ranks`` caches the vote table of ``election._partner_ranks`` for
+    ``instance``; it is None until a vote of this matching is first read.
+    """
+
+    _ranks: dict[str, int] | None = None
 
     def __init__(self, inst: Instance, pairs: Iterable[tuple[str, str]]):
         self._pair_up(inst, pairs, _raise)
+
+    @classmethod
+    def _checked(cls, inst: Instance, pairs: Sequence[tuple[str, str]]) -> "Matching":
+        """A matching from canonical, pairwise disjoint edges of ``inst``.
+
+        Private.  Sets the fields of :meth:`_pair_up` without its checks, so
+        an invalid input gives an invalid matching rather than an error; the
+        callers are the oracle's enumerators, whose pairs are valid by
+        construction.
+        """
+        partner = dict(pairs)
+        partner.update((b, a) for a, b in pairs)
+        m = cls.__new__(cls)
+        m._derive(inst, pairs, partner)
+        return m
 
     def _pair_up(self, inst: Instance, pairs: Iterable[tuple[str, str]], fail) -> None:
         """Check every pair and set every attribute; the one matching rule set.
@@ -291,7 +318,6 @@ class Matching:
         ``fail(message, (k, end))`` must raise.  It names endpoint ``end`` of
         pair ``k``: the second when only it is unknown, else the first.
         """
-        self.instance = inst
         edges: list[tuple[str, str]] = []
         partner: dict[str, str] = {}
         rank = inst.rank
@@ -307,9 +333,14 @@ class Matching:
             partner[e[0]] = e[1]
             partner[e[1]] = e[0]
             edges.append(e)
-        edges.sort(key=lambda e: (inst.index[e[0]], inst.index[e[1]]))
-        self.edges: tuple[tuple[str, str], ...] = tuple(edges)
-        self.edge_set: frozenset[tuple[str, str]] = frozenset(edges)
+        self._derive(inst, edges, partner)
+
+    def _derive(self, inst: Instance, edges, partner: dict[str, str]) -> None:
+        """Set every attribute from disjoint canonical edges and their partner map."""
+        index = inst.index
+        self.instance = inst
+        self.edges: tuple[tuple[str, str], ...] = tuple(sorted(edges, key=lambda e: index[e[0]]))
+        self.edge_set: frozenset[tuple[str, str]] = frozenset(self.edges)
         self._partner = partner
 
     def partner(self, u: str) -> str | None:

@@ -11,7 +11,9 @@ The stable-matching enumerator is the one non-naive resident: it prunes on
 definitely-blocking edges so that it can cope with the large gadget
 instances, but it still enumerates exactly the stable set.  Its state is the
 partner-rank table of ``election`` restricted to the vertices fixed so far,
-and it reads every vote off that table by the same rule.
+and it reads every vote off that table by the same rule.  Both enumerators
+build their matchings through the trusted ``Matching._checked``: their pairs
+are canonical instance edges and disjoint by construction.
 """
 
 from __future__ import annotations
@@ -83,7 +85,7 @@ def _extensions(inst, i, used, chosen) -> Iterator[Matching]:
     """Every matching adding edges of ``inst.edges[i:]`` to ``chosen``; the
     state is passed, not closed over, so no reference cycle is left behind."""
     if i == len(inst.edges):
-        yield Matching(inst, chosen)
+        yield Matching._checked(inst, chosen)
         return
     u, v = inst.edges[i]
     yield from _extensions(inst, i + 1, used, chosen)
@@ -154,7 +156,8 @@ def _stable_search(inst, lo, c, pairs, out, nodes, node_budget) -> int:
 
     ``c`` maps each fixed vertex to its partner's rank, or deg + 1 when it
     stays unmatched (open vertices are absent), and ``pairs`` lists the
-    fixed pairs.  Completed stable matchings are appended to ``out``.
+    fixed pairs in canonical form.  Completed stable matchings are appended
+    to ``out``.
     """
     nodes += 1
     if nodes > node_budget:
@@ -163,7 +166,7 @@ def _stable_search(inst, lo, c, pairs, out, nodes, node_budget) -> int:
     while lo < len(verts) and verts[lo] in c:
         lo += 1
     if lo == len(verts):
-        out.append(Matching(inst, pairs))
+        out.append(Matching._checked(inst, pairs))
         return nodes
     u = verts[lo]
     lst = inst.prefs[u]
@@ -173,7 +176,7 @@ def _stable_search(inst, lo, c, pairs, out, nodes, node_budget) -> int:
         c[u] = i
         c[v] = inst.rank[v][u]
         if not _fixed_blocks(inst, c, u) and not _fixed_blocks(inst, c, v):
-            pairs.append((u, v))
+            pairs.append(inst.canonical_edge(u, v))
             nodes = _stable_search(inst, lo + 1, c, pairs, out, nodes, node_budget)
             pairs.pop()
         del c[u], c[v]

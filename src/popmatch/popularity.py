@@ -14,10 +14,18 @@ roommates instances a hit is only an alternating walk, but every forbidden
 pattern is a walk they follow, so no hit proves popularity; after a hit a
 depth-first simple-path search under a node budget settles the answer and
 produces the certificate.
+
+Every test reads the votes from the matching's cached vote table (see
+``election``).  The restricted graph of the last matching tested is kept in
+a one-entry cache keyed by a weak reference to that matching, so that a
+structure test followed by a dominance test builds one graph, and on
+marriage instances runs one structure test.  A roommates verdict is never
+cached: each one gets the whole node budget.
 """
 
 from __future__ import annotations
 
+import weakref
 from typing import NamedTuple
 
 from .election import _partner_ranks, label_edges, weighting
@@ -90,18 +98,22 @@ def _witness(inst: Instance, m: Matching) -> Witness | None:
     from distance 0 everywhere settles within |M| rounds unless a negative
     cycle shows that no witness exists.
     """
-    wt = weighting(inst, m)
+    c = _partner_ranks(inst, m)
+    rank = inst.rank
     k = len(m)
     var = {}
     for i, (a, b) in enumerate(m.edges):
         var[a] = var[b] = i
     arcs = [(k, i, 1) for i in range(k)] + [(i, k, 1) for i in range(k)]
-    for (u, v), need in wt.edge.items():
+    for u, v in inst.edges:
+        ru = rank[u][v]
+        if ru == c[u]:  # a matching edge, need 0
+            continue
+        need = (1 if ru < c[u] else -1) + (1 if rank[v][u] < c[v] else -1)
         i, j = var.get(u, k), var.get(v, k)
-        if i == j:  # a matching edge (need 0) or both ends unmatched (need 2)
-            if need > 0:
-                return None
-        elif need > -2:  # the bounds already imply need = -2
+        if i == j:  # both ends unmatched, need 2
+            return None
+        if need > -2:  # the bounds already imply need = -2
             arcs.append((i, j, -need))
 
     dist = [0] * (k + 1)
@@ -132,15 +144,18 @@ class _RestrictedGraph:
     u votes for a neighbor v other than M(u) iff rank[u][v] < c(u), the
     partner rank of ``election``.  ``adj[u]`` lists, in u's order, each v
     other than M(u) for which either end votes for the other, flagged when
-    both do (a blocking edge, also listed in ``pp_edges``).
+    both do (a blocking edge, also listed in ``pp_edges``).  The graph keeps
+    the matching's edges but not the matching, and ``verdict`` holds the
+    structure test's result once it is known on a marriage instance.
     """
 
     def __init__(self, inst: Instance, m: Matching):
         self.inst = inst
-        self.m = m
+        self.edges = m.edges
         c = _partner_ranks(inst, m)
         rank = inst.rank
-        self.partner = {u: m.partner(u) for u in inst.vertices}
+        self.partner: dict[str, str | None] = dict.fromkeys(inst.vertices)
+        self.partner.update(m._partner)
         self.free = [u for u, p in self.partner.items() if p is None]
         self.adj: dict[str, list[tuple[str, bool]]] = {}
         for u, lst in inst.prefs.items():
@@ -151,7 +166,32 @@ class _RestrictedGraph:
                 if i < cu or back:
                     row.append((v, i < cu and back))
         self.pp_edges = list(_blocking_edges(inst, c))
-        self.nodes = 0  # depth-first search calls, counted against the budget
+        self.nodes = 0  # depth-first search calls of one verdict, against the budget
+        self.verdict: tuple[bool, ForbiddenStructure | None] | None = None
+
+
+# The restricted graph of the last matching tested: (weak reference to the
+# matching, its graph).  One entry, so no matching keeps its graph alive, and
+# the entry goes when its matching does.
+_last: tuple[weakref.ref, _RestrictedGraph] | None = None
+
+
+def _restricted_graph(inst: Instance, m: Matching) -> _RestrictedGraph:
+    """G_M of ``m`` under ``inst``, reused when the last call had the same pair."""
+    global _last
+    last = _last  # one read, so the check and the graph come from one entry
+    if last is not None and last[0]() is m and last[1].inst is inst:
+        return last[1]
+    rg = _RestrictedGraph(inst, m)
+    _last = (weakref.ref(m, _forget), rg)
+    return rg
+
+
+def _forget(ref: weakref.ref) -> None:
+    """Drop the cached graph once its matching has been collected."""
+    global _last
+    if _last is not None and _last[0] is ref:
+        _last = None
 
 
 def is_popular_structure(
@@ -168,16 +208,27 @@ def is_popular_structure(
     roommates instances the first two return paths and the third a cycle;
     their depth-first search raises ValueError past its node budget.
     """
-    return _structure_test(_RestrictedGraph(inst, m))
+    return _structure_test(_restricted_graph(inst, m))
 
 
 def _structure_test(rg: _RestrictedGraph) -> tuple[bool, ForbiddenStructure | None]:
-    if not rg.pp_edges:
-        return True, None
-    found = _first_found(rg, _bfs)
-    if found is not None and rg.inst.kind == "roommates":
-        found = _first_found(rg, _dfs)
-    return found is None, found
+    """The verdict on ``rg``, run once per graph on marriage instances.
+
+    A roommates verdict is recomputed on every call, with a fresh node
+    budget, because its search may have failed on an earlier call.
+    """
+    if rg.verdict is not None:
+        return rg.verdict
+    rg.nodes = 0
+    found = None
+    if rg.pp_edges:
+        found = _first_found(rg, _bfs)
+        if found is not None and rg.inst.kind == "roommates":
+            found = _first_found(rg, _dfs)
+    verdict = (found is None, found)
+    if rg.inst.kind == "marriage":
+        rg.verdict = verdict
+    return verdict
 
 
 def _first_found(rg, search):
@@ -349,10 +400,11 @@ def is_dominant_structure(
     """Dominance plus, when m is not even popular, the structure showing it.
 
     One restricted graph serves the structure test and the augmenting-path
-    (marriage) or maximum-matching (roommates) test.  The structure is None
+    (marriage) or maximum-matching (roommates) test; after a structure test
+    on the same matching it is that test's graph.  The structure is None
     when m is popular, whether or not it is dominant.
     """
-    rg = _RestrictedGraph(inst, m)
+    rg = _restricted_graph(inst, m)
     popular, cert = _structure_test(rg)
     if not popular:
         return False, cert
@@ -390,7 +442,7 @@ def _max_matching_size(rg):
     for u, nbrs in rg.adj.items():
         for v, _ in nbrs:
             g.add_edge(u, v)
-    for u, v in rg.m.edges:
+    for u, v in rg.edges:
         g.add_edge(u, v)
     return len(nx.max_weight_matching(g, maxcardinality=True, weight=None))
 

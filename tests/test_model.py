@@ -15,6 +15,7 @@ from popmatch.model import (
     serialize_instance,
     serialize_matching,
 )
+from popmatch.oracle import enumerate_matchings, enumerate_stable_matchings
 
 from conftest import FIG1_TEXT
 
@@ -166,6 +167,34 @@ def test_matching_non_edge_rejected(fig1):
 def test_parse_matching_unknown_vertex(fig1):
     with pytest.raises(ParseError):
         parse_matching("a1 zz\n", fig1)
+
+
+def _matching_fields(m):
+    return m.edges, m.edge_set, {u: m.partner(u) for u in m.instance.vertices}
+
+
+def test_trusted_matching_build_equals_checked_build():
+    """``Matching._checked`` and the constructor give the same fields, on
+    canonical pairs in any order and on the oracle's own matchings."""
+    rng = random.Random(14)
+    for trial in range(60):
+        if trial % 2:
+            inst = random_roommates(rng, rng.randint(2, 7), rng.uniform(0.3, 1.0))
+        else:
+            na, nb = rng.randint(1, 4), rng.randint(1, 4)
+            inst = random_marriage(rng, na, nb, rng.uniform(0.3, 1.0))
+            # B vertices first on some instances, so that canonical is not index order
+            verts = list(inst.vertices)
+            rng.shuffle(verts)
+            inst = Instance(inst.kind, verts, inst.prefs, inst.side)
+        for m in enumerate_matchings(inst, cap=16):
+            pairs = list(m.edges)
+            rng.shuffle(pairs)
+            want = _matching_fields(Matching(inst, pairs))
+            assert _matching_fields(Matching._checked(inst, pairs)) == want
+            assert _matching_fields(m) == want
+        for s in enumerate_stable_matchings(inst):
+            assert _matching_fields(s) == _matching_fields(Matching(inst, list(reversed(s.edges))))
 
 
 def test_matching_round_trip(fig1, m2):

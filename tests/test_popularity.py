@@ -5,6 +5,7 @@ agree with each other and with exhaustive election counting, on marriage
 and (for the structural test) roommates instances.
 """
 
+import gc
 import random
 import time
 
@@ -14,16 +15,17 @@ from hypothesis import strategies as st
 
 from popmatch import popularity
 from popmatch.cli import run
-from popmatch.election import delta
+from popmatch.election import delta, label_edges, weighting
 from popmatch.engine import gale_shapley, solve_dominant
 from popmatch.gen import random_marriage, random_maximal_matching, random_roommates
-from popmatch.model import Matching, parse_instance, parse_matching
+from popmatch.model import Instance, Matching, parse_instance, parse_matching
 from popmatch.oracle import classify_exhaustive, enumerate_matchings
 from popmatch.popularity import (
     ForbiddenStructure,
     check_structure,
     find_witness_small,
     is_dominant,
+    is_dominant_structure,
     is_popular_structure,
     is_popular_weight,
     is_stable,
@@ -203,6 +205,144 @@ def test_roommates_search_budget(tmp_path, monkeypatch, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: popularity certificate search exceeded its node budget\n"
+
+
+def test_roommates_budget_bounds_each_verdict(monkeypatch):
+    """A failed search leaves nothing behind, and each verdict gets the whole budget."""
+    text, match = _diamond_ladder(4, kind="roommates")
+    inst = parse_instance(text)
+    m = parse_matching(match, inst)
+    cycle = (False, ForbiddenStructure("cycle", ("p", "s", "q", "r")))
+    budget = popularity._DFS_NODE_BUDGET
+
+    monkeypatch.setattr(popularity, "_DFS_NODE_BUDGET", 10)
+    with pytest.raises(ValueError, match="node budget"):
+        is_popular_structure(inst, m)
+    monkeypatch.setattr(popularity, "_DFS_NODE_BUDGET", budget)
+    assert is_popular_structure(inst, m) == cycle
+
+    needed = popularity._restricted_graph(inst, m).nodes
+    monkeypatch.setattr(popularity, "_DFS_NODE_BUDGET", needed)
+    for _ in range(3):
+        assert is_popular_structure(inst, m) == cycle
+        assert is_dominant_structure(inst, m) == cycle
+    monkeypatch.setattr(popularity, "_DFS_NODE_BUDGET", needed - 1)
+    with pytest.raises(ValueError, match="node budget"):
+        is_popular_structure(inst, m)
+
+
+def _counting(monkeypatch):
+    """Count restricted-graph builds and structure searches from now on."""
+    counts = {"graphs": 0, "searches": 0}
+    graph, first_found = popularity._RestrictedGraph, popularity._first_found
+
+    def build(inst, m):
+        counts["graphs"] += 1
+        return graph(inst, m)
+
+    def search(rg, how):
+        counts["searches"] += 1
+        return first_found(rg, how)
+
+    monkeypatch.setattr(popularity, "_last", None)
+    monkeypatch.setattr(popularity, "_RestrictedGraph", build)
+    monkeypatch.setattr(popularity, "_first_found", search)
+    return counts
+
+
+def test_structure_then_dominance_builds_one_graph(monkeypatch, fig1, m3):
+    counts = _counting(monkeypatch)
+    ok, cert = is_popular_structure(fig1, m3)
+    assert not ok and counts == {"graphs": 1, "searches": 1}
+    assert is_dominant_structure(fig1, m3) == (False, cert)
+    assert not is_dominant(fig1, m3)
+    assert is_popular_structure(fig1, m3) == (False, cert)
+    assert counts == {"graphs": 1, "searches": 1}
+
+    # an equal matching is another object, and gets a graph of its own,
+    # which goes with it
+    assert is_popular_structure(fig1, Matching(fig1, m3.edges)) == (False, cert)
+    assert counts == {"graphs": 2, "searches": 2}
+    assert popularity._last is None
+
+
+def test_roommates_structure_verdict_is_never_cached(monkeypatch):
+    text, match = _diamond_ladder(2, kind="roommates")
+    inst = parse_instance(text)
+    m = parse_matching(match, inst)
+    counts = _counting(monkeypatch)
+    first = is_popular_structure(inst, m)
+    searches = counts["searches"]
+    assert is_dominant_structure(inst, m) == first
+    assert counts == {"graphs": 1, "searches": 2 * searches}
+
+
+def _permuted(rng, inst):
+    """An instance with the edges of ``inst`` and every preference list shuffled."""
+    prefs = {u: rng.sample(lst, len(lst)) for u, lst in inst.prefs.items()}
+    return Instance(inst.kind, inst.vertices, prefs, inst.side)
+
+
+def _answers(inst, m, n, names, cert):
+    """Each named call on ``m`` under ``inst``, in the order of ``names``."""
+    calls = {
+        "is_stable": lambda: is_stable(inst, m),
+        "is_popular_weight": lambda: is_popular_weight(inst, m),
+        "is_popular_structure": lambda: is_popular_structure(inst, m),
+        "is_dominant": lambda: is_dominant(inst, m),
+        "is_dominant_structure": lambda: is_dominant_structure(inst, m),
+        "label_edges": lambda: label_edges(inst, m),
+        "weighting": lambda: weighting(inst, m),
+        "delta": lambda: (delta(inst, m, n), delta(inst, n, m)),
+        "check_structure": lambda: check_structure(inst, m, cert),
+        "find_witness_small": lambda: find_witness_small(inst, m),
+    }
+    return {name: calls[name]() for name in names}
+
+
+def _cached_against_fresh(rng, inst, targets):
+    """Every call on every matching of ``inst``, reused under each of
+    ``targets`` in shuffled orders, against fresh matchings of the target."""
+    names = ["is_stable", "is_popular_structure", "is_dominant", "is_dominant_structure",
+             "label_edges", "weighting", "delta", "check_structure"]
+    if inst.kind == "marriage":
+        names += ["is_popular_weight", "find_witness_small"]
+    matchings = list(enumerate_matchings(inst, cap=16))
+    for m in matchings:
+        n = rng.choice(matchings)
+        certs, want = [], []
+        for target in targets:
+            fresh = Matching(target, m.edges)
+            cert = is_popular_structure(target, fresh)[1]
+            certs.append(cert or ForbiddenStructure("path", target.vertices[:4]))
+            want.append(_answers(target, fresh, Matching(target, n.edges), names, certs[-1]))
+        # all calls on m itself come after, back to back across the targets
+        for target, cert, expected in zip(targets, certs, want):
+            rng.shuffle(names)
+            assert _answers(target, m, n, names, cert) == expected, (target, m)
+
+
+def test_cached_votes_agree_with_fresh_matchings():
+    rng = random.Random(14)
+    for trial in range(24):
+        if trial % 2:
+            inst = random_roommates(rng, rng.randint(2, 6), rng.uniform(0.4, 1.0))
+        else:
+            na, nb = rng.randint(1, 4), rng.randint(1, 4)
+            inst = random_marriage(rng, na, nb, rng.uniform(0.3, 1.0))
+        # the same objects go back and forth between the two instances
+        _cached_against_fresh(rng, inst, (inst, _permuted(rng, inst), inst))
+
+    # Marriage only: roommates dominance calls networkx, whose matching code
+    # leaves reference cycles of its own.
+    gc.collect()
+    gc.disable()
+    try:
+        for inst in (parse_instance(_diamond_ladder(2)[0]), random_marriage(rng, 3, 3, 0.8)):
+            _cached_against_fresh(rng, inst, (inst, _permuted(rng, inst)))
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def _swap_two_pairs(rng, inst, m):
