@@ -41,6 +41,7 @@ import tempfile
 from array import array
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 from .model import Instance, Matching
 
@@ -125,14 +126,27 @@ def expansion_view(inst: Instance) -> BipartiteView:
     return view
 
 
-def expansion_probes(inst: Instance) -> tuple[list[int], ...]:
-    """The eight probe arrays below for every edge of ``inst``, in edge order."""
+class ExpansionProbes(NamedTuple):
+    """The probe's per-edge arrays (see below), one entry per edge of ``inst``."""
+
+    aplus: list[int]
+    aminus: list[int]
+    dbresp: list[int]
+    bplus: list[int]
+    bminus: list[int]
+    start: list[int]
+    posb: list[int]
+    degb: list[int]
+
+
+def expansion_probes(inst: Instance) -> ExpansionProbes:
+    """The eight probe arrays for every edge of ``inst``, in edge order."""
     slot = side_index(inst)
     rank = inst.rank
     nb2 = 2 * len(inst.side_b())
     ia = [slot[a] for a, _ in inst.edges]
     jb = [slot[b] for _, b in inst.edges]
-    return (
+    return ExpansionProbes(
         [2 * i for i in ia],
         [2 * i + 1 for i in ia],
         [nb2 + i for i in ia],
@@ -271,10 +285,18 @@ def output_is_stable(view: BipartiteView, res: ProposalResult) -> bool:
 #                                 of a (0-based)
 #   e_degb                      : original degree of b
 #
-# A probe accepts when the run's output is stable against the full expansion,
-# a- is matched to d(a) or unmatched, b+ holds a strictly worse neighbor than
-# a (and not d(b)), and a+ sits strictly below b.  Returns the first
-# accepting edge index, or -1.
+# ``ExpansionProbes`` holds them under the same names without the ``e_``.
+# ``probe_run`` is the run for one edge: a+ starts at e_start, and b-
+# accepts only d(b), which it ranks first.  A probe accepts when the run's
+# output is stable against the full expansion, a- is matched to d(a) or
+# unmatched, b+ holds a strictly worse neighbor than a (and not d(b)), and
+# a+ sits strictly below b.  The probes return the first accepting edge
+# index, or -1.
+
+
+def probe_run(view: BipartiteView, aplus: int, start: int, bminus: int) -> ProposalResult:
+    """The constrained proposal run that probes one edge (a, b)."""
+    return run_proposals(view, start_rel={aplus: start}, cutoff={bminus: 1})
 
 
 def probe_edges_python(
@@ -291,11 +313,7 @@ def probe_edges_python(
 ) -> int:
     off = view.off
     for i in range(len(e_aplus)):
-        res = run_proposals(
-            view,
-            start_rel={e_aplus[i]: e_start[i]},
-            cutoff={e_bminus[i]: 1},
-        )
+        res = probe_run(view, e_aplus[i], e_start[i], e_bminus[i])
         if counter is not None:
             counter[0] += 1
         if not output_is_stable(view, res):

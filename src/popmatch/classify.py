@@ -18,16 +18,12 @@ cubic cross-check over pairs of strictly-worse neighbors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import _gs
 from .engine import gale_shapley
 from .model import Instance, Matching
 from .popularity import Witness, is_dominant, is_stable, verify_witness
 
 __all__ = [
-    "WitnessDecomposition",
-    "decompose",
     "to_unstable_dominant",
     "to_nondominant_stable",
     "exists_unstable_popular",
@@ -35,20 +31,8 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class WitnessDecomposition:
-    a0: frozenset[str]
-    b0: frozenset[str]
-    a1: frozenset[str]
-    a_minus1: frozenset[str]
-    b1: frozenset[str]
-    b_minus1: frozenset[str]
-    m0: tuple[tuple[str, str], ...]
-    m1: tuple[tuple[str, str], ...]
-
-
-def decompose(inst: Instance, m: Matching, w: Witness) -> WitnessDecomposition:
-    """Split vertices and matching edges by witness value.
+def _split(inst: Instance, m: Matching, w: Witness) -> tuple[list, list]:
+    """The zero-part and plus/minus-part edges of ``m``, in ``m.edges`` order.
 
     The witness must verify; a valid witness is automatically tight on
     matching edges, so each matching edge lands in the zero part or joins
@@ -57,25 +41,13 @@ def decompose(inst: Instance, m: Matching, w: Witness) -> WitnessDecomposition:
     ok, bad = verify_witness(inst, m, w)
     if not ok:
         raise ValueError(f"witness does not verify: {bad[:4]}")
-    sides = {"A": {-1: set(), 0: set(), 1: set()}, "B": {-1: set(), 0: set(), 1: set()}}
-    for u in inst.vertices:
-        sides[inst.side[u]][w[u]].add(u)
     m0 = []
     m1 = []
     for a, b in m.edges:
         if w[a] + w[b] != 0:
             raise ValueError(f"witness is not tight on matching edge ({a}, {b})")
         (m0 if w[a] == 0 else m1).append((a, b))
-    return WitnessDecomposition(
-        a0=frozenset(sides["A"][0]),
-        b0=frozenset(sides["B"][0]),
-        a1=frozenset(sides["A"][1]),
-        a_minus1=frozenset(sides["A"][-1]),
-        b1=frozenset(sides["B"][1]),
-        b_minus1=frozenset(sides["B"][-1]),
-        m0=tuple(m0),
-        m1=tuple(m1),
-    )
+    return m0, m1
 
 
 def to_unstable_dominant(
@@ -87,18 +59,17 @@ def to_unstable_dominant(
     existing zero-part pairs on their plus/minus copies; the plus/minus part
     is kept.  The blocking edge of the input still blocks the output.
     """
-    dec = decompose(inst, m, w)
+    m0, m1 = _split(inst, m, w)
     stable, _ = is_stable(inst, m)
     if stable:
         raise ValueError("matching is stable; nothing to transform")
-    zero = dec.a0 | dec.b0
-    g0 = inst.restrict(zero)
+    g0 = inst.restrict(u for u in inst.vertices if w[u] == 0)
     slot = _gs.side_index(g0)
-    seeds = [(2 * slot[a], 2 * slot[b] + 1) for a, b in dec.m0]  # (a+, b-)
+    seeds = [(2 * slot[a], 2 * slot[b] + 1) for a, b in m0]  # (a+, b-)
     res = _gs.run_proposals(_gs.expansion_view(g0), seeds=seeds)
     d, beta0 = _gs.project_expansion(g0, res.prop_partner)
-    mstar = Matching(inst, list(dec.m1) + list(d.edges))
-    beta = {u: w[u] for u in inst.vertices if u not in zero}
+    mstar = Matching(inst, m1 + list(d.edges))
+    beta = {u: w[u] for u in inst.vertices if w[u] != 0}
     beta.update(beta0)
     return mstar, beta
 
@@ -109,16 +80,13 @@ def to_nondominant_stable(inst: Instance, m: Matching, w: Witness) -> Matching:
     The plus/minus part is re-solved by a plain proposal run seeded with the
     pairs from minus-A to plus-B vertices; the zero-part pairs are kept.
     """
-    dec = decompose(inst, m, w)
+    m0, m1 = _split(inst, m, w)
     if is_dominant(inst, m):
         raise ValueError("matching is dominant; nothing to transform")
-    pm = dec.a1 | dec.a_minus1 | dec.b1 | dec.b_minus1
-    g1 = inst.restrict(pm)
-    seed = Matching(
-        g1, [(a, b) for a, b in dec.m1 if a in dec.a_minus1]
-    )
+    g1 = inst.restrict(u for u in inst.vertices if w[u] != 0)
+    seed = Matching(g1, [(a, b) for a, b in m1 if w[a] == -1])  # a is on side A
     s = gale_shapley(g1, seed)
-    return Matching(inst, list(dec.m0) + list(s.edges))
+    return Matching(inst, m0 + list(s.edges))
 
 
 # ---------------------------------------------------------------------------
@@ -168,11 +136,7 @@ def exists_unstable_popular(
 
     if hit < 0:
         return None
-    res = _gs.run_proposals(
-        view,
-        start_rel={arrays[0][hit]: arrays[5][hit]},
-        cutoff={arrays[4][hit]: 1},
-    )
+    res = _gs.probe_run(view, arrays.aplus[hit], arrays.start[hit], arrays.bminus[hit])
     return _gs.project_expansion(inst, res.prop_partner)[0]
 
 

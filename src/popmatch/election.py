@@ -98,6 +98,12 @@ def _rank_table(inst: Instance, m: Matching) -> dict[str, int]:
     return c
 
 
+def _blocking_edges(inst: Instance, c: dict[str, int]):
+    """The blocking edges under partner ranks ``c``, in ``inst.edges`` order."""
+    rank = inst.rank
+    return ((u, v) for u, v in inst.edges if rank[u][v] < c[u] and rank[v][u] < c[v])
+
+
 def label_edges(inst: Instance, m: Matching) -> EdgeLabeling:
     """Vote pairs for every edge outside ``m``; (+,+) edges block ``m``."""
     c = _partner_ranks(inst, m)

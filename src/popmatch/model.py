@@ -30,9 +30,9 @@ with the message.  The parsers check the syntax first, then raise
 :class:`ParseError` with the same message at the line and column of
 ``where``, so a syntax fault is reported before any rule fault.
 ``parse_instance`` then builds through the private ``Instance._checked``,
-which runs only the derivation, as do the three-copy expansion and
-:meth:`Instance.restrict`.  A witness is no model type: ``parse_witness``
-checks its rules (known vertices, each once, integer values) line by line.
+which runs only the derivation, as does :meth:`Instance.restrict`.  A
+witness is no model type: ``parse_witness`` checks its rules (known
+vertices, each once, integer values) line by line.
 Matchings have the same split: ``Matching._checked`` sets the fields of
 ``_pair_up`` from pairs that its caller has built canonical and disjoint.
 """
@@ -190,8 +190,8 @@ class Instance:
 
         Private.  Runs the derivation of :meth:`__init__` without its
         checks, so the input must pass ``_validate``: callers are the
-        parser (which runs ``_validate`` itself, to report positions), the
-        three-copy expansion and :meth:`restrict` (valid by construction).
+        parser (which runs ``_validate`` itself, to report positions) and
+        :meth:`restrict` (valid by construction).
         """
         inst = cls.__new__(cls)
         inst._derive(kind, vertices, prefs, side)

@@ -5,7 +5,9 @@ a recursive include/exclude walk over the edge list, popularity and dominance
 come straight from their definitions by comparing every pair of matchings
 head to head, and satisfiability is decided by trying every assignment.  The
 decision procedures in the rest of the package are tested against this
-module; it must stay free of any code from ``popularity``.
+module; it must stay free of any code from ``popularity``.  The blocking
+edges of each matching come from ``election``'s lister, which
+``popularity.is_stable`` shares.
 
 The stable-matching enumerator is the one non-naive resident: it prunes on
 definitely-blocking edges so that it can cope with the large gadget
@@ -23,7 +25,7 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Iterator
 
-from .election import delta, label_edges
+from .election import _blocking_edges, _partner_ranks, delta
 from .model import Instance, Matching
 
 __all__ = [
@@ -103,10 +105,10 @@ def classify_exhaustive(inst: Instance, cap: int | None = None) -> ExhaustiveRep
     """Stable, popular, and dominant sets straight from the definitions."""
     matchings = tuple(enumerate_matchings(inst, cap))
     index = inst.index
-    blocking = {
-        m: tuple(sorted(label_edges(inst, m).blocking, key=lambda e: (index[e[0]], index[e[1]])))
-        for m in matchings
-    }
+    blocking = {}
+    for m in matchings:
+        found = _blocking_edges(inst, _partner_ranks(inst, m))
+        blocking[m] = tuple(sorted(found, key=lambda e: (index[e[0]], index[e[1]])))
     stable = tuple(m for m in matchings if not blocking[m])
 
     # larger matchings are the likely beaters, so screening them first lets

@@ -28,7 +28,7 @@ from __future__ import annotations
 import weakref
 from typing import NamedTuple
 
-from .election import _partner_ranks, label_edges, weighting
+from .election import _blocking_edges, _partner_ranks, label_edges, weighting
 from .model import Instance, Matching
 
 __all__ = [
@@ -64,12 +64,6 @@ def is_stable(inst: Instance, m: Matching) -> tuple[bool, tuple[str, str] | None
     """Whether m has no blocking edge; returns the first one otherwise."""
     e = next(_blocking_edges(inst, _partner_ranks(inst, m)), None)
     return e is None, e
-
-
-def _blocking_edges(inst: Instance, c: dict[str, int]):
-    """The blocking edges under partner ranks ``c``, in ``inst.edges`` order."""
-    rank = inst.rank
-    return ((u, v) for u, v in inst.edges if rank[u][v] < c[u] and rank[v][u] < c[v])
 
 
 # ---------------------------------------------------------------------------

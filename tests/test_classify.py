@@ -239,3 +239,18 @@ def test_transformations_reject_wrong_inputs(fig1, m1, m2):
         to_unstable_dominant(fig1, m1, w1)  # m1 is stable
     with pytest.raises(ValueError):
         to_nondominant_stable(fig1, m2, w2)  # m2 is dominant
+
+
+def test_transformations_check_the_witness_first(fig1, m1, m2):
+    """A witness that does not verify is refused before the matching is
+    looked at, even where the matching itself would be refused too."""
+    zeros = dict.fromkeys(fig1.vertices, 0)  # (a1, b1) blocks m2, so it fails there
+    ones = dict.fromkeys(fig1.vertices, 1)  # sums to 6, not 0
+    with pytest.raises(ValueError, match="witness does not verify"):
+        to_unstable_dominant(fig1, m1, ones)
+    with pytest.raises(ValueError, match="witness does not verify"):
+        to_nondominant_stable(fig1, m2, zeros)
+    with pytest.raises(ValueError, match="matching is stable"):
+        to_unstable_dominant(fig1, m1, zeros)
+    with pytest.raises(ValueError, match="matching is dominant"):
+        to_nondominant_stable(fig1, m2, find_witness_small(fig1, m2))

@@ -1,15 +1,17 @@
 """Proposal solvers: the stable run, the expansion, and the dominant run."""
 
 import random
+from dataclasses import dataclass
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from popmatch import _gs
-from popmatch.engine import GPrime, build_gprime, gale_shapley, solve_dominant
+from popmatch.classify import exists_unstable_popular
+from popmatch.engine import gale_shapley, solve_dominant
 from popmatch.gen import random_marriage
-from popmatch.model import Instance
+from popmatch.model import Instance, Matching
 from popmatch.oracle import classify_exhaustive
 from popmatch.popularity import is_dominant, is_stable, verify_witness
 
@@ -91,7 +93,7 @@ def test_same_vertices_matched_in_every_stable_matching(seed, na, nb):
 
 
 def test_expansion_shape(fig1):
-    gp = build_gprime(fig1)
+    gp = _reference_gprime(fig1)
     assert len(gp.instance.vertices) == 3 * len(fig1.vertices)
     # every original vertex contributes exactly one plus, one minus, one dummy
     for u in fig1.vertices:
@@ -103,12 +105,54 @@ def test_expansion_shape(fig1):
 
 
 def test_expansion_projection_matches_solver(fig1, m2):
-    gp = build_gprime(fig1)
+    gp = _reference_gprime(fig1)
     assert gp.project(gale_shapley(gp.instance)) == m2
 
 
 def test_stable_vertex_set_fig1(fig1):
     assert gale_shapley(fig1).matched_vertices() == frozenset({"a1", "a2", "b1", "b2"})
+
+
+@dataclass(frozen=True)
+class _NamedExpansion:
+    """The expansion as a named instance plus maps back to the original.
+
+    ``edge_origin`` sends each expansion edge between copies of two distinct
+    original vertices to ``(original_edge, sign)`` where sign "+" means the
+    edge uses the first endpoint's outgoing copy.  Dummy edges do not appear
+    in the map.
+    """
+
+    original: Instance
+    instance: Instance
+    plus: dict
+    minus: dict
+    dummy: dict
+    edge_origin: dict
+
+    def project(self, m_exp):
+        """The original-graph matching encoded by an expansion matching."""
+        pairs = [self.edge_origin[e][0] for e in m_exp.edges if e in self.edge_origin]
+        return Matching(self.original, pairs)
+
+    def witness(self, m_exp):
+        """+1 / -1 / 0 per original vertex by which copy is matched."""
+        w = {}
+        for u in self.original.vertices:
+            if m_exp.partner(self.plus[u]) not in (None, self.dummy[u]):
+                w[u] = 1
+            elif m_exp.partner(self.minus[u]) not in (None, self.dummy[u]):
+                w[u] = -1
+            else:
+                w[u] = 0
+        return w
+
+    def matching(self, prop_partner):
+        """The expansion matching of a run on ``compile_view(self.instance)``."""
+        side_a, side_b = self.instance.side_a(), self.instance.side_b()
+        return Matching(
+            self.instance, [(side_a[p], side_b[r]) for p, r in enumerate(prop_partner) if r >= 0]
+        )
 
 
 def _reference_gprime(inst):
@@ -146,7 +190,7 @@ def _reference_gprime(inst):
         edge_origin[(plus[a], minus[b])] = ((a, b), "+")
         edge_origin[(minus[a], plus[b])] = ((a, b), "-")
     gpi = Instance("marriage", vertices, prefs, side)
-    return GPrime(inst, gpi, plus, minus, dummy, edge_origin)
+    return _NamedExpansion(inst, gpi, plus, minus, dummy, edge_origin)
 
 
 def _reference_probes(inst, ref):
@@ -165,33 +209,51 @@ def _reference_probes(inst, ref):
     )
 
 
-def test_expansion_matches_named_reference():
-    """The arithmetic expansion, its names, probes and projection, on 2,000 instances.
-
-    Sides of 0 to 6 vertices, any density (so empty sides, isolated
-    vertices and incomplete lists), and the two sides interleaved in the
-    vertex order, which the copy ids must not depend on.
-    """
-    rng = random.Random(31)
-    seen = dict.fromkeys(("empty side", "isolated", "incomplete", "hit"), 0)
-    for _ in range(2000):
+def _cases(rng, n):
+    """``n`` random instances, then one whose names look like each other's copies."""
+    for _ in range(n):
         base = random_marriage(rng, rng.randint(0, 6), rng.randint(0, 6), rng.random())
         order = list(base.vertices)
         rng.shuffle(order)
-        inst = Instance("marriage", order, base.prefs, base.side)
-        ref = _reference_gprime(inst)
+        yield Instance("marriage", order, base.prefs, base.side)
+    side = {"x": "A", "x+": "A", "x-": "B", "d(x)": "B"}
+    prefs = {"x": ["x-", "d(x)"], "x+": ["d(x)", "x-"], "x-": ["x+", "x"], "d(x)": ["x", "x+"]}
+    yield Instance("marriage", ["x-", "x", "d(x)", "x+"], prefs, side)
 
-        assert _gs.expansion_view(inst) == _gs.compile_view(ref.instance)
-        assert _gs.expansion_probes(inst) == _reference_probes(inst, ref)
-        gp = build_gprime(inst)
-        assert gp.instance == ref.instance and gp.instance.edges == ref.instance.edges
-        assert (gp.plus, gp.minus, gp.dummy, gp.edge_origin) == (
-            ref.plus, ref.minus, ref.dummy, ref.edge_origin
-        )
+
+def test_expansion_matches_named_reference():
+    """The arithmetic expansion, its probes, projection and decision, on 2,001 instances.
+
+    Sides of 0 to 6 vertices, any density (so empty sides, isolated
+    vertices and incomplete lists), and the two sides interleaved in the
+    vertex order, which the copy ids must not depend on; last, vertices
+    named ``x``, ``x+``, ``x-`` and ``d(x)``.  The decision is checked
+    against the reference probe run on the named expansion.
+    """
+    rng = random.Random(31)
+    seen = dict.fromkeys(("empty side", "isolated", "incomplete", "hit", "probe hit"), 0)
+    for inst in _cases(rng, 2000):
+        ref = _reference_gprime(inst)
+        assert len(ref.instance.vertices) == 3 * len(inst.vertices)
+        ref_view = _gs.compile_view(ref.instance)
+        probes = _reference_probes(inst, ref)
+        assert _gs.expansion_view(inst) == ref_view
+        assert _gs.expansion_probes(inst) == probes
+
         m_exp = gale_shapley(ref.instance)
         m, w = solve_dominant(inst)
         assert m == ref.project(m_exp)
         assert list(w.items()) == list(ref.witness(m_exp).items())
+
+        hit = _gs.probe_edges_python(ref_view, *probes)
+        found = exists_unstable_popular(inst)
+        if hit < 0:
+            assert found is None
+        else:
+            res = _gs.run_proposals(
+                ref_view, start_rel={probes[0][hit]: probes[5][hit]}, cutoff={probes[4][hit]: 1}
+            )
+            assert found == ref.project(ref.matching(res.prop_partner))
 
         other = {"A": len(inst.side_b()), "B": len(inst.side_a())}
         seen["empty side"] += 0 in other.values()
@@ -200,4 +262,5 @@ def test_expansion_matches_named_reference():
             0 < len(inst.prefs[u]) < other[inst.side[u]] for u in inst.vertices
         )
         seen["hit"] += len(m) > 0
+        seen["probe hit"] += hit >= 0
     assert min(seen.values()) > 0, seen

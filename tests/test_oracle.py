@@ -4,7 +4,7 @@ import random
 import pytest
 
 from popmatch.gen import random_marriage, random_roommates
-from popmatch.model import Matching, parse_instance
+from popmatch.model import Instance, Matching, parse_instance
 from popmatch.oracle import (
     brute_sat,
     classify_exhaustive,
@@ -36,6 +36,16 @@ def test_fig1_classification(fig1, m1, m2, m3):
         ("a2", "b1"),
         ("a2", "b2"),
         ("a3", "b1"),
+    )
+    # the order follows the vertex order, not the order edges were listed in
+    flipped = Instance("marriage", fig1.vertices[::-1], fig1.prefs, fig1.side)
+    assert classify_exhaustive(flipped).blocking[Matching(flipped, [])] == (
+        ("a3", "b1"),
+        ("a2", "b2"),
+        ("a2", "b1"),
+        ("a1", "b3"),
+        ("a1", "b2"),
+        ("a1", "b1"),
     )
 
 

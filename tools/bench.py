@@ -9,8 +9,9 @@ time, and writes ``BENCH_<LABEL>.json`` at the root of the repository this
 script is in.  The file holds the checkout's commit and whether its tree
 had uncommitted changes, the machine facts that the figures depend on (CPU
 count, the Python, numpy and networkx versions, the first line of
-``cc --version``) and every run's result line as ``perfbench/run.py``
-printed it.  It then runs the checkout's ``tests/test_acceptance.py`` once
+``cc --version``), the line count of each source file of the checkout's
+``src/popmatch``, so that size is tracked next to speed, and every run's
+result line as ``perfbench/run.py`` printed it.  It then runs the checkout's ``tests/test_acceptance.py`` once
 under ``pytest --durations=0`` and records each test's setup and call
 seconds under ``acceptance_durations``.  A run that exits non-zero stops
 the recording with its standard error.
@@ -59,6 +60,13 @@ def machine() -> dict:
         "networkx": _version("networkx"),
         "cc": _first_line(["cc", "--version"]),
     }
+
+
+def module_lines(checkout: Path) -> dict[str, int]:
+    """Lines in each Python and C source file of the checkout's ``src/popmatch``."""
+    pkg = checkout / "src" / "popmatch"
+    files = sorted([*pkg.glob("*.py"), *pkg.glob("*.c")])
+    return {f.name: len(f.read_text(encoding="utf-8").splitlines()) for f in files}
 
 
 def run_one(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -111,6 +119,7 @@ def main() -> None:
         "uncommitted_changes": changed is not None,
         "seconds": args.seconds,
         "machine": machine(),
+        "module_lines": module_lines(checkout),
         "runs": runs,
         "acceptance_durations": durations,
     }
