@@ -21,6 +21,14 @@ a one-entry cache keyed by a weak reference to that matching, so that a
 structure test followed by a dominance test builds one graph, and on
 marriage instances runs one structure test.  A roommates verdict is never
 cached: each one gets the whole node budget.
+
+Dominance on a marriage instance is popularity plus the absence of an
+augmenting path in the restricted graph, and the augmenting-path search
+reads the edges of that graph straight off the vote table.  A matching
+without blocking edges is stable, hence popular, so when no graph is cached
+for it and the table shows no blocking edge, its dominance is that one
+search and no graph is built.  The enumerated stable matchings of a gadget
+take this path.
 """
 
 from __future__ import annotations
@@ -173,12 +181,19 @@ _last: tuple[weakref.ref, _RestrictedGraph] | None = None
 def _restricted_graph(inst: Instance, m: Matching) -> _RestrictedGraph:
     """G_M of ``m`` under ``inst``, reused when the last call had the same pair."""
     global _last
+    rg = _cached_graph(inst, m)
+    if rg is None:
+        rg = _RestrictedGraph(inst, m)
+        _last = (weakref.ref(m, _forget), rg)
+    return rg
+
+
+def _cached_graph(inst: Instance, m: Matching) -> _RestrictedGraph | None:
+    """The cached G_M when the last graph built was for ``m`` under ``inst``."""
     last = _last  # one read, so the check and the graph come from one entry
     if last is not None and last[0]() is m and last[1].inst is inst:
         return last[1]
-    rg = _RestrictedGraph(inst, m)
-    _last = (weakref.ref(m, _forget), rg)
-    return rg
+    return None
 
 
 def _forget(ref: weakref.ref) -> None:
@@ -351,7 +366,7 @@ def check_structure(inst: Instance, m: Matching, s: ForbiddenStructure) -> bool:
     lab = label_edges(inst, m)
     pairs = list(zip(verts, verts[1:]))
     if s.kind == "cycle":
-        if len(verts) % 2 != 0 or len(verts) < 4:
+        if len(verts) % 2:  # its closing step could not alternate with its first
             return False
         pairs.append((verts[-1], verts[0]))
     elif s.kind != "path":
@@ -372,8 +387,6 @@ def check_structure(inst: Instance, m: Matching, s: ForbiddenStructure) -> bool:
     if any(a == b for a, b in zip(statuses, statuses[1:])):
         return False
     if s.kind == "cycle":
-        if statuses[0] == statuses[-1]:
-            return False
         return blocked >= 1
     free_end = m.partner(verts[0]) is None or m.partner(verts[-1]) is None
     return blocked >= 2 or (blocked >= 1 and free_end)
@@ -395,36 +408,52 @@ def is_dominant_structure(
 
     One restricted graph serves the structure test and the augmenting-path
     (marriage) or maximum-matching (roommates) test; after a structure test
-    on the same matching it is that test's graph.  The structure is None
-    when m is popular, whether or not it is dominant.
+    on the same matching it is that test's graph.  On a marriage instance
+    with no graph cached for m, a matching without blocking edges is
+    popular, so its verdict is the augmenting-path search alone and no graph
+    is built.  The structure is None when m is popular, whether or not it
+    is dominant.
     """
+    if inst.kind == "marriage":
+        rg = _cached_graph(inst, m)
+        if rg is None and next(_blocking_edges(inst, _partner_ranks(inst, m)), None):
+            rg = _restricted_graph(inst, m)
+        if rg is not None:
+            popular, cert = _structure_test(rg)
+            if not popular:
+                return False, cert
+        return not _has_augmenting_path(inst, m), None
     rg = _restricted_graph(inst, m)
     popular, cert = _structure_test(rg)
     if not popular:
         return False, cert
-    if inst.kind == "marriage":
-        return not _has_augmenting_path(rg), None
     return _max_matching_size(rg) <= len(m), None
 
 
-def _has_augmenting_path(rg):
+def _has_augmenting_path(inst: Instance, m: Matching) -> bool:
     """Whether G_M has an augmenting path, on a marriage instance.
 
     Such a path has an end among the unmatched A vertices, so one
     depth-first search of the anchor digraph from all of them decides it.
+    Anchor u steps over each edge of G_M, read off m's vote table c by the
+    rule of ``_RestrictedGraph``: u votes for v or v votes for u.
     """
-    side = rg.inst.side
-    stack = [f for f in rg.free if side[f] == "A"]
+    c = _partner_ranks(inst, m)
+    rank, prefs, partner = inst.rank, inst.prefs, m._partner
+    side = inst.side
+    stack = [u for u in inst.vertices if side[u] == "A" and u not in partner]
     seen = set(stack)
     while stack:
         u = stack.pop()
-        for v, _ in rg.adj[u]:
-            w = rg.partner[v]
-            if w is None:
-                return True
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
+        cu = c[u]
+        for i, v in enumerate(prefs[u], 1):
+            if i < cu or rank[v][u] < c[v]:
+                w = partner.get(v)
+                if w is None:
+                    return True
+                if w not in seen:
+                    seen.add(w)
+                    stack.append(w)
     return False
 
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from popmatch import _gs
+from popmatch import _gs, classify
 from popmatch.classify import (
     exists_unstable_popular,
     exists_unstable_popular_pairwise,
@@ -254,3 +254,13 @@ def test_transformations_check_the_witness_first(fig1, m1, m2):
         to_unstable_dominant(fig1, m1, zeros)
     with pytest.raises(ValueError, match="matching is dominant"):
         to_nondominant_stable(fig1, m2, find_witness_small(fig1, m2))
+
+
+def test_split_refuses_a_witness_that_is_not_tight(fig1, m1, monkeypatch):
+    """A witness that verifies is tight on every matching edge; the split
+    still refuses one that is not, should the checker ever let it through."""
+    loose = dict.fromkeys(fig1.vertices, 0)
+    loose["a1"] = 1  # a1 b1 sums to 1
+    monkeypatch.setattr(classify, "verify_witness", lambda inst, m, w: (True, []))
+    with pytest.raises(ValueError, match=r"witness is not tight on matching edge \(a1, b1\)"):
+        to_nondominant_stable(fig1, m1, loose)

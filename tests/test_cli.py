@@ -231,7 +231,7 @@ def test_reduce_verify_unsat_exact_line(tmp_path, capsys):
 def test_reduce_verify_sat_targets(tmp_path, capsys):
     cnf = tmp_path / "sat.cnf"
     cnf.write_text("p cnf 2 1\n1 2 0\n")
-    for target in ("g4", "g4max", "hmin", "hroom"):
+    for target in ("g4", "g5", "g4max", "hmin", "hroom"):
         assert run(["reduce", str(cnf), "--target", target, "--verify"]) == 0
         assert "CONFIRMED" in capsys.readouterr().out
 

@@ -20,6 +20,16 @@ def test_stable_solver_fig1(fig1, m1):
     assert gale_shapley(fig1) == m1
 
 
+def test_seeds_must_be_adjacencies_of_the_instance(fig1):
+    other = Instance("marriage", ["a1", "b1"], {"a1": ["b1"], "b1": ["a1"]},
+                     {"a1": "A", "b1": "B"})
+    with pytest.raises(ValueError, match="seed matching belongs to a different instance"):
+        gale_shapley(fig1, Matching(other, [("a1", "b1")]))
+    view = _gs.compile_view(fig1)
+    with pytest.raises(ValueError, match="seed pair is not an adjacency"):
+        _gs.run_proposals(view, seeds=[(2, 1)])  # a3 lists b1 only
+
+
 def test_dominant_solver_fig1(fig1, m2):
     m, w = solve_dominant(fig1)
     assert m == m2

@@ -214,6 +214,8 @@ def test_restrict_keeps_induced_lists(fig1):
     assert sub.vertices == ("a1", "a2", "b1", "b2")
     assert sub.neighbors("a1") == ("b1", "b2")
     assert sub.neighbors("b1") == ("a1", "a2")
+    with pytest.raises(ValueError, match=r"cannot restrict to unknown vertices \['c1', 'z'\]"):
+        fig1.restrict({"a1", "z", "c1"})
 
 
 # -- the trusted constructor -------------------------------------------------

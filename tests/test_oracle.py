@@ -6,12 +6,19 @@ import pytest
 from popmatch.gen import random_marriage, random_roommates
 from popmatch.model import Instance, Matching, parse_instance
 from popmatch.oracle import (
+    _stable_search,
     brute_sat,
     classify_exhaustive,
     enumerate_matchings,
     enumerate_stable_matchings,
 )
-from popmatch.reductions import CnfFormula, normalize_3sat
+from popmatch.popularity import is_stable
+from popmatch.reductions import (
+    CnfFormula,
+    build_nondominant_gadget,
+    build_stable_dominant_gadget,
+    normalize_3sat,
+)
 
 
 def test_fig1_matching_count(fig1):
@@ -86,15 +93,59 @@ def test_roommates_can_lack_stable_matchings():
     assert rep.stable == ()
 
 
-def test_stable_search_node_budget(fig1):
+# a1 and a2 each get their first choice in one stable matching and their
+# second in the other: two closed sets, the empty one and {the one rotation}
+TWO_STABLE = "marriage\nA a1 a2\nB b1 b2\na1: b1 b2\na2: b2 b1\nb1: a2 a1\nb2: a1 a2\n"
+
+
+def test_stable_search_node_budget():
     budget_error = "stable-matching search exceeded its node budget"
-    assert len(enumerate_stable_matchings(fig1, node_budget=16)) == 1
+    # each closed set costs one unit plus one per pair: 2 * (1 + 2)
+    two = parse_instance(TWO_STABLE)
+    assert len(enumerate_stable_matchings(two, node_budget=6)) == 2
     with pytest.raises(ValueError, match=budget_error):
-        enumerate_stable_matchings(fig1, node_budget=15)
+        enumerate_stable_matchings(two, node_budget=5)
     cycle = parse_instance(THREE_CYCLE)
     assert enumerate_stable_matchings(cycle, node_budget=4) == []
     with pytest.raises(ValueError, match=budget_error):
         enumerate_stable_matchings(cycle, node_budget=3)
+
+
+def test_rotation_enumerator_matches_pruned_search_and_oracle():
+    """Marriage instances list the closed sets of the rotation poset; the
+    pruned search, run directly, and the definitions must give the same set."""
+    rng = random.Random(16)
+    instances = [
+        random_marriage(rng, rng.randint(2, 8), rng.randint(2, 8), rng.uniform(0.3, 1.0))
+        for _ in range(400)
+    ]
+    contradiction = normalize_3sat(CnfFormula(1, [(1, 1), (-1, -1)]))
+    instances += [build_nondominant_gadget(contradiction)[0],
+                  build_stable_dominant_gadget(contradiction)[0]]
+    several = unmatched = 0
+    counts = []
+    for inst in instances:
+        fast = enumerate_stable_matchings(inst)
+        counts.append(len(fast))
+        pruned: list = []
+        _stable_search(inst, 0, {}, [], pruned, 0, 10**7)
+        assert len(fast) == len(set(fast))
+        assert set(fast) == set(pruned)
+        if len(inst.vertices) <= 8:
+            assert set(fast) == set(classify_exhaustive(inst, cap=8).stable)
+        several += len(fast) > 1
+        unmatched += 2 * len(fast[0]) < len(inst.vertices)
+    assert several > 30 and unmatched > 300
+    assert counts[-2:] == [81, 81]
+
+
+def test_rotation_enumerator_on_sixty_per_side():
+    rng = random.Random(60)
+    inst = random_marriage(rng, 60, 60, 0.4)
+    found = enumerate_stable_matchings(inst, node_budget=5_000)
+    assert len(found) > 1 and len(found) == len(set(found))
+    for m in found:
+        assert is_stable(inst, m)[0]
 
 
 def test_enumerators_leave_no_reference_cycles(fig1):

@@ -32,6 +32,8 @@ from popmatch.popularity import (
     verify_witness,
 )
 
+from conftest import FIG1_TEXT
+
 
 def test_is_stable_fig1(fig1, m1, m2):
     assert is_stable(fig1, m1) == (True, None)
@@ -142,6 +144,57 @@ def test_bad_structure_rejected(fig1, m1):
 
     fake = ForbiddenStructure(kind="path", vertices=("a3", "b1", "a2", "b2"))
     assert not check_structure(fig1, m1, fake)
+
+
+# p-s-q-r-p is an alternating cycle through the blocking edge (p, s)
+FOUR_CYCLE = "marriage\nA p q\nB r s\np: s r\nq: s r\nr: q p\ns: p q\n"
+# v1 is unmatched under {v2 v3, v4 v5}, and (v1, v2) blocks
+FIVE_CYCLE = (
+    "roommates\nV v1 v2 v3 v4 v5\n"
+    "v1: v2 v5\nv2: v1 v3\nv3: v4 v2\nv4: v5 v3\nv5: v4 v1\n"
+)
+
+
+@pytest.mark.parametrize(
+    "text, matching, kind, vertices, expected",
+    [
+        # sound certificates, one of each kind that the rules below refuse
+        (FIG1_TEXT, "a1 b3\na2 b2\na3 b1", "path", "a1 b2 a2 b1", True),
+        (FIG1_TEXT, "a2 b2\na3 b1", "path", "a1 b1", True),
+        (FOUR_CYCLE, "p r\nq s", "cycle", "p s q r", True),
+        # one forged certificate per rejection rule
+        (FIG1_TEXT, "a1 b3\na2 b2\na3 b1", "walk", "a1 b2 a2 b1", False),
+        (FIG1_TEXT, "a3 b1", "path", "a1 a3 b1 a2", False),  # a non-edge
+        (FIG1_TEXT, "a1 b2\na2 b1", "cycle", "a1 b1 a2 b2", False),  # (a2, b2) is (-,-)
+        (FOUR_CYCLE, "p r\nq s", "path", "p s q r p s", False),  # a repeated vertex
+        (FIVE_CYCLE, "v2 v3\nv4 v5", "cycle", "v1 v2 v3 v4 v5", False),  # odd: no seam
+        (FIG1_TEXT, "", "path", "a1 b1 a2", False),  # two non-matching steps in a row
+        (FIG1_TEXT, "a1 b1\na2 b2", "cycle", "a1 b1 a2 b2", False),  # no blocking edge
+        (FIG1_TEXT, "a2 b2\na3 b1", "path", "a2 b1", False),  # one blocking edge, no free end
+    ],
+)
+def test_forged_structures_rejected(text, matching, kind, vertices, expected):
+    inst = parse_instance(text)
+    m = parse_matching(matching, inst)
+    assert check_structure(inst, m, ForbiddenStructure(kind, tuple(vertices.split()))) is expected
+
+
+@pytest.mark.parametrize(
+    "matching, values, violations",
+    [
+        ("a1 b1\na2 b2", {}, []),
+        ("a1 b1\na2 b2", {"a2": 2, "b2": -2},
+         [("value", "a2"), ("value", "b2"), ("vertex", "b2"), ("edge", "a1", "b2")]),
+        ("a1 b1\na2 b2", {"a3": -1, "b1": 1}, [("vertex", "a3")]),
+        ("a1 b2\na2 b1", {}, [("edge", "a1", "b1")]),
+        ("a1 b1\na2 b2", {"b3": 1}, [("sum", 1)]),
+    ],
+)
+def test_forged_witnesses_rejected(fig1, matching, values, violations):
+    m = parse_matching(matching, fig1)
+    w = dict.fromkeys(fig1.vertices, 0)
+    w.update(values)
+    assert verify_witness(fig1, m, w) == (not violations, violations)
 
 
 def _diamond_ladder(k, kind="marriage"):
@@ -264,6 +317,31 @@ def test_structure_then_dominance_builds_one_graph(monkeypatch, fig1, m3):
     assert is_popular_structure(fig1, Matching(fig1, m3.edges)) == (False, cert)
     assert counts == {"graphs": 2, "searches": 2}
     assert popularity._last is None
+
+
+def test_dominance_without_a_graph_agrees_with_the_graph_path(monkeypatch):
+    """A stable matching's dominance is decided without building G_M unless
+    a structure test built it first; both orders give the oracle's verdict."""
+    counts = _counting(monkeypatch)
+    rng = random.Random(16)
+    stable_seen = 0
+    for _ in range(150):
+        inst = random_marriage(rng, rng.randint(1, 5), rng.randint(1, 5), rng.uniform(0.3, 1.0))
+        rep = classify_exhaustive(inst, cap=16)
+        dominant = set(rep.dominant)
+        for m in rep.matchings:
+            stable = not rep.blocking[m]
+            popularity._last = None
+            built = counts["graphs"]
+            first = is_dominant_structure(inst, m)
+            assert counts["graphs"] == built + (not stable)
+            assert first[0] == (m in dominant)
+            popularity._last = None
+            assert is_popular_structure(inst, m)[0] == (first[1] is None)
+            assert is_dominant_structure(inst, m) == first
+            assert counts["graphs"] == built + 1 + (not stable)
+            stable_seen += stable
+    assert stable_seen > 150
 
 
 def test_roommates_structure_verdict_is_never_cached(monkeypatch):
