@@ -287,11 +287,17 @@ def output_is_stable(view: BipartiteView, res: ProposalResult) -> bool:
 #
 # ``ExpansionProbes`` holds them under the same names without the ``e_``.
 # ``probe_run`` is the run for one edge: a+ starts at e_start, and b-
-# accepts only d(b), which it ranks first.  A probe accepts when the run's
-# output is stable against the full expansion, a- is matched to d(a) or
-# unmatched, b+ holds a strictly worse neighbor than a (and not d(b)), and
-# a+ sits strictly below b.  The probes return the first accepting edge
-# index, or -1.
+# accepts only d(b), which it ranks first.  A probe accepts when a- is
+# matched to d(a) or unmatched, b+ holds a strictly worse neighbor than a
+# (and not d(b)), a+ sits strictly below b, and the run's output is stable
+# against the full expansion.  The three O(1) checks come before the O(m)
+# stability scan; the checks are conjunctive, so the order does not change
+# the answer.  The probes return the first accepting edge index, or -1.
+#
+# ``probe_edges_python`` is the definition and runs every edge.  The
+# compiled twin also skips, without a run, every edge where a is last on
+# b's list (e_posb + 1 >= e_degb): no rank lies strictly between the two,
+# so the b+ check cannot pass.
 
 
 def probe_run(view: BipartiteView, aplus: int, start: int, bminus: int) -> ProposalResult:
@@ -316,8 +322,6 @@ def probe_edges_python(
         res = probe_run(view, e_aplus[i], e_start[i], e_bminus[i])
         if counter is not None:
             counter[0] += 1
-        if not output_is_stable(view, res):
-            continue
         am = e_aminus[i]
         am_match = res.prop_partner[am]
         if am_match >= 0 and am_match != e_dbresp[i]:
@@ -328,7 +332,8 @@ def probe_edges_python(
         ap = e_aplus[i]
         if res.prop_partner[ap] >= 0 and res.accept_pos[ap] - off[ap] <= e_start[i] - 1:
             continue
-        return i
+        if output_is_stable(view, res):
+            return i
     return -1
 
 

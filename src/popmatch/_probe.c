@@ -4,10 +4,16 @@
  * compiled expansion view (a+ starts at slot e_start[i], b- accepts only
  * proposers of crossrank 0) and applies the acceptance checks:
  *
- *   - the output is stable against the full expansion,
  *   - a- is matched to d(a) or unmatched,
  *   - b+ holds a neighbor strictly worse than a, and not d(b),
- *   - a+ sits strictly below b.
+ *   - a+ sits strictly below b,
+ *   - the output is stable against the full expansion.
+ *
+ * The checks are conjunctive, so testing the three O(1) ones before the
+ * O(m) stability scan leaves the first accepting edge unchanged.  An edge
+ * where a is last on b's list (e_posb[i] + 1 >= e_degb[i]) is skipped
+ * without a run: the b+ check asks for a rank strictly between the two,
+ * and both are fixed before the run starts.
  *
  * Free proposers wait on a LIFO stack.  The reference processes them lowest
  * id first; for an unseeded run the proposer-optimal output, and with it
@@ -41,6 +47,9 @@ int64_t popmatch_probe_edges(
     for (int64_t i = 0; i < n_edges; i++) {
         const int64_t ap = e_aplus[i];
         const int64_t bm = e_bminus[i];
+
+        if (e_posb[i] + 1 >= e_degb[i])
+            continue;  /* no rank fits strictly between them: b+ must fail */
 
         /* reset state; proposer 0 ends on top of the stack */
         int64_t top = 0;
@@ -85,16 +94,7 @@ int64_t popmatch_probe_edges(
             }
         }
 
-        /* acceptance checks */
-        int stable = 1;
-        for (int64_t p = 0; p < P && stable; p++)
-            for (int64_t pos = off[p]; pos < accept_pos[p]; pos++)
-                if (crossrank[pos] < cur_rank[adj[pos]]) {
-                    stable = 0;
-                    break;
-                }
-        if (!stable)
-            continue;
+        /* acceptance checks, the O(1) ones first */
         const int64_t amm = prop_partner[e_aminus[i]];
         if (amm >= 0 && amm != e_dbresp[i])
             continue;
@@ -103,7 +103,15 @@ int64_t popmatch_probe_edges(
             continue;
         if (prop_partner[ap] >= 0 && accept_pos[ap] - off[ap] <= e_start[i] - 1)
             continue;
-        return i;
+        int stable = 1;
+        for (int64_t p = 0; p < P && stable; p++)
+            for (int64_t pos = off[p]; pos < accept_pos[p]; pos++)
+                if (crossrank[pos] < cur_rank[adj[pos]]) {
+                    stable = 0;
+                    break;
+                }
+        if (stable)
+            return i;
     }
     return -1;
 }

@@ -11,9 +11,11 @@ the matched pairs that point from minus side A to plus side B.
 blocking edge.  For each original edge (a, b) it runs one constrained
 proposal round in the expansion where b's receiving copy accepts only its
 dummy and a's proposing copy starts just below b, then applies the
-acceptance checks on the output.  The first accepted edge yields the
-projected matching, which that edge blocks.  The edge-pair variant is the
-cubic cross-check over pairs of strictly-worse neighbors.
+acceptance checks on the output, the O(1) ones before the stability scan.
+The compiled probe rejects an edge where a is last on b's list without a
+run, since its b+ check cannot pass there.  The first accepted edge yields
+the projected matching, which that edge blocks.  The edge-pair variant is
+the cubic cross-check over pairs of strictly-worse neighbors.
 """
 
 from __future__ import annotations
@@ -106,8 +108,10 @@ def exists_unstable_popular(
     compiler; raises RuntimeError naming the missing compiler or the build
     error).  "auto" uses the compiled probe on every input and falls back to
     Python only when the kernel cannot be built or loaded here, which is
-    decided once per process.  ``stats`` receives the run count and the
-    backend that ran.
+    decided once per process.  ``stats`` receives the backend that ran and
+    ``runs``: for "python" the proposal runs made, one per edge scanned;
+    for "compiled" the edges the scan decided, counting those the kernel
+    rejects without a run.
     """
     inst.require_marriage("the unstable-popular decision")
     if backend not in ("auto", "python", "compiled"):

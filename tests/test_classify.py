@@ -1,7 +1,9 @@
 """The class-collapse decision and the two matching transformations."""
 
+import ctypes
 import random
 import stat
+from array import array
 
 import pytest
 from hypothesis import given, settings
@@ -16,6 +18,7 @@ from popmatch.classify import (
 )
 from popmatch.engine import gale_shapley, solve_dominant
 from popmatch.gen import chain_instance, random_marriage, random_maximal_matching
+from popmatch.model import Instance
 from popmatch.oracle import classify_exhaustive
 from popmatch.popularity import (
     find_witness_small,
@@ -95,17 +98,76 @@ def test_compiled_backend_agrees_when_available():
 
 @pytest.mark.skipif(_gs.find_compiler() is None, reason="no C compiler (cc) on PATH")
 def test_compiled_probe_hit_index_matches_reference():
-    """Stack-ordered C kernel and heap-ordered reference pick the same edge."""
-    rng = random.Random(23)
-    hits = 0
-    for _ in range(200):
-        inst = random_marriage(rng, rng.randint(1, 8), rng.randint(1, 8), rng.uniform(0.3, 1.0))
+    """Stack-ordered C kernel and heap-ordered reference pick the same edge.
+
+    The kernel rejects "a is last on b's list" edges without a run and
+    checks its O(1) conditions first; the reference runs every edge in
+    full.  The sample covers chains and accepting edges whose a is second
+    to last on b's list, where a skip one place too wide would show.
+    """
+    rng = random.Random(17)
+    insts = [chain_instance(m) for m in range(1, 61)]
+    insts += [
+        random_marriage(rng, rng.randint(1, 9), rng.randint(1, 9), rng.uniform(0.2, 1.0))
+        for _ in range(2000)
+    ]
+    hits = second_to_last = 0
+    for inst in insts:
         view = _gs.expansion_view(inst)
         arrays = _gs.expansion_probes(inst)
         hit = _gs.probe_edges_python(view, *arrays)
-        assert _gs.probe_edges_compiled(view, *arrays) == hit
-        hits += hit >= 0
-    assert hits > 0  # the sample exercises the accepting path too
+        assert _gs.probe_edges_compiled(view, *arrays) == hit, inst
+        if hit >= 0:
+            hits += 1
+            second_to_last += arrays.posb[hit] == arrays.degb[hit] - 2
+    assert hits > 0 and second_to_last > 0  # the accepting path runs too
+
+
+@pytest.mark.skipif(_gs.find_compiler() is None, reason="no C compiler (cc) on PATH")
+def test_compiled_skip_makes_no_run():
+    """Where every edge has a last on b's list, the kernel decides -1
+    without resetting or running: its scratch comes back untouched."""
+    kernel, reason = _gs._load_probe()
+    assert kernel is not None, reason
+    inst = Instance(
+        "marriage",
+        ["a1", "a2", "b1", "b2", "b3"],
+        {"a1": ["b2", "b1"], "a2": ["b3"], "b1": ["a1"], "b2": ["a1"], "b3": ["a2"]},
+        {"a1": "A", "a2": "A", "b1": "B", "b2": "B", "b3": "B"},
+    )
+    view = _gs.expansion_view(inst)
+    arrays = _gs.expansion_probes(inst)
+    assert all(p + 1 == d for p, d in zip(arrays.posb, arrays.degb))
+    P, R = view.n_prop, view.n_resp
+    work = array("q", [7] * (4 * P + 2 * R))
+    scratch = (ctypes.c_int64 * len(work)).from_buffer(work)
+    views = map(_gs._buffer, (view.off, view.adj, view.crossrank))
+    hit = kernel(P, R, *views, len(inst.edges), *map(_gs._buffer, arrays), scratch)
+    assert hit == -1
+    assert set(work) == {7}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10**9), st.integers(1, 6), st.integers(1, 6))
+def test_reference_never_accepts_a_last_on_b(seed, na, nb):
+    """The b+ check needs a rank strictly between posb and degb, so an edge
+    whose a is last on b's list fails on its own, whatever its run gives."""
+    rng = random.Random(seed)
+    inst = random_marriage(rng, na, nb, rng.uniform(0.3, 1.0))
+    view = _gs.expansion_view(inst)
+    arrays = _gs.expansion_probes(inst)
+    for i, (p, d) in enumerate(zip(arrays.posb, arrays.degb)):
+        if p == d - 1:
+            assert _gs.probe_edges_python(view, *(a[i : i + 1] for a in arrays)) == -1
+
+
+@pytest.mark.skipif(_gs.find_compiler() is None, reason="no C compiler (cc) on PATH")
+def test_compiled_stats_count_skipped_edges():
+    """For the compiled backend ``runs`` counts the edges decided, with or
+    without a run: every edge of a chain, half of them skipped."""
+    stats = {}
+    assert exists_unstable_popular(chain_instance(200), stats=stats, backend="compiled") is None
+    assert stats == {"backend": "compiled", "runs": 200}
 
 
 @pytest.mark.skipif(_gs.find_compiler() is None, reason="no C compiler (cc) on PATH")
