@@ -177,7 +177,7 @@ def project_expansion(inst: Instance, prop_partner: list[int]) -> tuple[Matching
             held[p & 1].add(a)
             held[r & 1].add(b)
     witness = {u: 1 if u in held[0] else -1 if u in held[1] else 0 for u in inst.vertices}
-    return Matching(inst, pairs), witness
+    return Matching._checked(inst, pairs), witness
 
 
 @dataclass

@@ -142,7 +142,7 @@ def _cmd_verify(args) -> int:
     if args.mode == "popular":
         ok, cert = is_popular_structure(inst, m)
         witness = None
-        if ok and inst.kind == "marriage" and len(inst.vertices) <= 24:
+        if ok and inst.kind == "marriage":
             witness = find_witness_small(inst, m)
         if args.json:
             _emit(

@@ -54,7 +54,7 @@ def gale_shapley(inst: Instance, seed: Matching | None = None) -> Matching:
     res = _gs.run_proposals(view, seeds=seeds)
     side_a, side_b = inst.side_a(), inst.side_b()
     pairs = [(side_a[p], side_b[r]) for p, r in enumerate(res.prop_partner) if r >= 0]
-    return Matching(inst, pairs)
+    return Matching._checked(inst, pairs)
 
 
 def solve_dominant(inst: Instance) -> tuple[Matching, dict[str, int]]:

@@ -302,9 +302,10 @@ class Matching:
         """A matching from canonical, pairwise disjoint edges of ``inst``.
 
         Private.  Sets the fields of :meth:`_pair_up` without its checks, so
-        an invalid input gives an invalid matching rather than an error; the
-        callers are the oracle's enumerators, whose pairs are valid by
-        construction.
+        an invalid input gives an invalid matching rather than an error.  The
+        callers build their pairs canonical and disjoint by construction:
+        the oracle's enumerators, ``engine.gale_shapley`` and
+        ``_gs.project_expansion``, which read them off a proposal run.
         """
         partner = dict(pairs)
         partner.update((b, a) for a, b in pairs)

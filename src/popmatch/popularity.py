@@ -1,10 +1,10 @@
 """Popularity and dominance tests plus witness utilities.
 
-Two independent popularity tests are provided.  The witness test (marriage
-instances only) solves the LP dual of the rival-weight maximization: m is
-popular iff some witness in {0, +-1} covers every edge weight, and those
-constraints are difference constraints that one Bellman-Ford settles.
-The structure test searches the restricted graph for one of the three
+Both popularity tests read one restricted graph G_M.  The witness test
+(marriage instances only) finds the LP dual of the rival-weight
+maximization: m is popular iff some witness in {0, +-1} covers every edge
+weight, and such a witness is forced from the blocking edges outward, one
+linear pass over G_M.  The structure test searches G_M for one of the three
 forbidden patterns: an alternating cycle through a blocking edge, an
 alternating path through two blocking edges, and an alternating path from
 an unmatched vertex through a blocking edge.  Linear breadth-first
@@ -19,7 +19,8 @@ Every test reads the votes from the matching's cached vote table (see
 ``election``).  The restricted graph of the last matching tested is kept in
 a one-entry cache keyed by a weak reference to that matching, so that a
 structure test followed by a dominance test builds one graph, and on
-marriage instances runs one structure test.  A roommates verdict is never
+marriage instances runs one structure test; a witness search before or
+after either of them reads that graph too.  A roommates verdict is never
 cached: each one gets the whole node budget.
 
 Dominance on a marriage instance is popularity plus the absence of an
@@ -82,7 +83,8 @@ def is_popular_weight(inst: Instance, m: Matching) -> bool:
     """Marriage-only popularity test: whether m has an LP-dual witness.
 
     The witness LP is the dual of maximizing a rival matching's weight
-    under wt_M, so a witness exists iff no rival outvotes m.
+    under wt_M, so a witness exists iff no rival outvotes m.  Linear in the
+    size of G_M, which is built only when m has a blocking edge.
     """
     inst.require_marriage("the weight test")
     return _witness(inst, m) is not None
@@ -91,48 +93,36 @@ def is_popular_weight(inst: Instance, m: Matching) -> bool:
 def _witness(inst: Instance, m: Matching) -> Witness | None:
     """A witness for m on a marriage instance, or None when m is unpopular.
 
-    Unmatched vertices are 0 and matching edge i = (a_i, b_i) carries
-    alpha(a_i) = x_i, alpha(b_i) = -x_i, so each edge constraint is a
-    difference constraint over the x_i and a zero node z.  An arc p -> q of
-    cost c stands for x_q <= x_p + c: z and each x_i are joined both ways at
-    cost 1 for -1 <= x_i <= 1, and an edge (u, v) of weight need becomes an
-    arc from u's variable (or z) to v's (or z) of cost -need.  Bellman-Ford
-    from distance 0 everywhere settles within |M| rounds unless a negative
-    cycle shows that no witness exists.
+    A witness takes values in {0, +-1}, is tight on matching edges and is 0
+    on unmatched vertices, so every nonzero value is forced from the
+    blocking edges outward: both ends of a blocking edge are +1, a +1
+    vertex's partner is -1, and a -1 vertex makes +1 of each neighbor it
+    shares an edge of weight 0 with, its non-blocking neighbors in G_M.  m
+    is unpopular iff this meets a +1 vertex whose partner is missing or +1
+    already.  That one test covers the other conflicts: a blocking end is
+    +1 before any vertex is -1, and a vertex turns -1 only from 0 and then
+    lifts its neighbors, so no -1 vertex ends up on a blocking edge or next
+    to another -1.  Every vertex nothing forces is 0, so the witness has
+    minimal support.  A matching without blocking edges gets the zero
+    witness and builds no graph; otherwise the pass is linear in the size
+    of G_M, which stays cached for a structure test that follows.
     """
-    c = _partner_ranks(inst, m)
-    rank = inst.rank
-    k = len(m)
-    var = {}
-    for i, (a, b) in enumerate(m.edges):
-        var[a] = var[b] = i
-    arcs = [(k, i, 1) for i in range(k)] + [(i, k, 1) for i in range(k)]
-    for u, v in inst.edges:
-        ru = rank[u][v]
-        if ru == c[u]:  # a matching edge, need 0
-            continue
-        need = (1 if ru < c[u] else -1) + (1 if rank[v][u] < c[v] else -1)
-        i, j = var.get(u, k), var.get(v, k)
-        if i == j:  # both ends unmatched, need 2
-            return None
-        if need > -2:  # the bounds already imply need = -2
-            arcs.append((i, j, -need))
-
-    dist = [0] * (k + 1)
-    for _ in range(k + 1):
-        changed = False
-        for p, q, c in arcs:
-            if dist[p] + c < dist[q]:
-                dist[q] = dist[p] + c
-                changed = True
-        if not changed:
-            break
-    else:
-        return None
     w: Witness = dict.fromkeys(inst.vertices, 0)
-    for i, (a, b) in enumerate(m.edges):
-        w[a] = dist[i] - dist[k]
-        w[b] = -w[a]
+    if next(_blocking_edges(inst, _partner_ranks(inst, m)), None) is None:
+        return w
+    rg = _restricted_graph(inst, m)
+    plus = [u for e in rg.pp_edges for u in e]
+    w.update(dict.fromkeys(plus, 1))
+    for u in plus:  # grows as -1 vertices lift their neighbors
+        v = rg.partner[u]
+        if v is None or w[v] == 1:
+            return None
+        if w[v] == 0:  # else u is listed twice
+            w[v] = -1
+            for x, _ in rg.adj[v]:
+                if w[x] == 0:
+                    w[x] = 1
+                    plus.append(x)
     return w
 
 
@@ -502,7 +492,7 @@ def verify_witness(
 def find_witness_small(inst: Instance, m: Matching) -> Witness | None:
     """A witness for m, or None when m is unpopular (marriage instances).
 
-    Solved by difference constraints in O(|M|·|E|) time.
+    The witness of ``_witness``, found in time linear in the size of G_M.
     """
     inst.require_marriage("the witness search")
     return _witness(inst, m)

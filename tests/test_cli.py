@@ -4,8 +4,10 @@ import random
 import pytest
 
 from popmatch.cli import run
+from popmatch.engine import solve_dominant
 from popmatch.gen import random_marriage, random_maximal_matching, random_roommates
-from popmatch.model import serialize_instance, serialize_matching
+from popmatch.model import parse_witness, serialize_instance, serialize_matching
+from popmatch.popularity import is_stable, verify_witness
 
 from conftest import FIG1_TEXT
 
@@ -79,6 +81,22 @@ def test_solve_dominant_prints_witness(files, capsys):
 def test_verify_popular_yes(files, capsys):
     assert run(["verify", "--popular", str(files / "fig1.inst"), str(files / "m2.match")]) == 0
     assert capsys.readouterr().out.startswith("POPULAR")
+
+
+def test_verify_popular_prints_witness_past_24_vertices(tmp_path, capsys):
+    """30 vertices: the witness of an unstable popular matching is printed."""
+    inst = random_marriage(random.Random(18), 15, 15, 0.3)
+    m, _ = solve_dominant(inst)
+    assert not is_stable(inst, m)[0]
+    (tmp_path / "big.inst").write_text(serialize_instance(inst))
+    (tmp_path / "big.match").write_text(serialize_matching(m))
+    assert run(["verify", "--popular", str(tmp_path / "big.inst"), str(tmp_path / "big.match")]) == 0
+    out = capsys.readouterr().out
+    head, wtext = out.split("# witness\n", 1)
+    assert head == "POPULAR\n"
+    w = parse_witness(wtext, inst)
+    assert verify_witness(inst, m, w) == (True, [])
+    assert list(w) == list(inst.vertices) and any(w.values())
 
 
 def test_verify_popular_no(files, capsys):

@@ -319,6 +319,18 @@ def test_structure_then_dominance_builds_one_graph(monkeypatch, fig1, m3):
     assert popularity._last is None
 
 
+def test_witness_search_shares_the_structure_tests_graph(monkeypatch, fig1, m1, m2):
+    counts = _counting(monkeypatch)
+    assert find_witness_small(fig1, m1) == dict.fromkeys(fig1.vertices, 0)
+    assert counts == {"graphs": 0, "searches": 0}  # stable: no G_M
+
+    assert is_popular_weight(fig1, m2)
+    assert counts == {"graphs": 1, "searches": 0}
+    assert is_popular_structure(fig1, m2) == (True, None)
+    assert find_witness_small(fig1, m2) == {"a1": 1, "a2": -1, "a3": 0, "b1": 1, "b2": -1, "b3": 0}
+    assert counts == {"graphs": 1, "searches": 1}
+
+
 def test_dominance_without_a_graph_agrees_with_the_graph_path(monkeypatch):
     """A stable matching's dominance is decided without building G_M unless
     a structure test built it first; both orders give the oracle's verdict."""
@@ -434,24 +446,92 @@ def _swap_two_pairs(rng, inst, m):
     return m
 
 
+def _reference_witness(inst, m):
+    """A witness for m by difference constraints and Bellman-Ford, or None.
+
+    The independent engine that ``popularity._witness`` is tested against.
+    Unmatched vertices are 0 and matching edge i = (a_i, b_i) carries
+    alpha(a_i) = x_i, alpha(b_i) = -x_i, so each edge constraint is a
+    difference constraint over the x_i and a zero node z.  An arc p -> q of
+    cost c stands for x_q <= x_p + c: z and each x_i are joined both ways at
+    cost 1 for -1 <= x_i <= 1, and an edge (a, b) of weight need becomes an
+    arc from a's variable (or z) to b's (or z) of cost -need.  Bellman-Ford
+    from distance 0 everywhere settles within |M| rounds unless a negative
+    cycle shows that no witness exists.
+    """
+    k = len(m)
+    var = {}
+    for i, (a, b) in enumerate(m.edges):
+        var[a] = var[b] = i
+    arcs = [(k, i, 1) for i in range(k)] + [(i, k, 1) for i in range(k)]
+    for (a, b), need in weighting(inst, m).edge.items():
+        if (a, b) in m or need == -2:  # need 0 on m, and the bounds imply -2
+            continue
+        i, j = var.get(a, k), var.get(b, k)
+        if i == j:  # both ends unmatched, need 2
+            return None
+        arcs.append((i, j, -need))
+    dist = [0] * (k + 1)
+    for _ in range(k + 1):
+        changed = False
+        for p, q, c in arcs:
+            if dist[p] + c < dist[q]:
+                dist[q] = dist[p] + c
+                changed = True
+        if not changed:
+            break
+    else:
+        return None
+    w = dict.fromkeys(inst.vertices, 0)
+    for i, (a, b) in enumerate(m.edges):
+        w[a] = dist[i] - dist[k]
+        w[b] = -w[a]
+    return w
+
+
 def test_structure_test_agrees_with_weight_test_past_enumeration():
     rng = random.Random(5)
     kinds = set()
-    for _ in range(60):
-        na = rng.randint(6, 15)
-        nb = rng.randint(max(6, na - 2), min(15, na + 2))
-        inst = random_marriage(rng, na, nb, rng.uniform(0.3, 1.0))
-        stable, dominant = gale_shapley(inst), solve_dominant(inst)[0]
-        candidates = [stable, dominant]
-        candidates += [_swap_two_pairs(rng, inst, stable), _swap_two_pairs(rng, inst, dominant)]
-        candidates += [random_maximal_matching(rng, inst) for _ in range(4)]
-        for m in candidates:
-            ok, cert = is_popular_structure(inst, m)
-            assert ok is is_popular_weight(inst, m)
-            if not ok:
-                kinds.add(cert.kind)
-                assert check_structure(inst, m, cert), (inst, m, cert)
+    for lo, hi, count in ((6, 15, 60), (16, 40, 12)):
+        for _ in range(count):
+            na = rng.randint(lo, hi)
+            nb = rng.randint(max(lo, na - 2), min(hi, na + 2))
+            inst = random_marriage(rng, na, nb, rng.uniform(0.3, 1.0))
+            stable, dominant = gale_shapley(inst), solve_dominant(inst)[0]
+            candidates = [stable, dominant]
+            candidates += [_swap_two_pairs(rng, inst, stable), _swap_two_pairs(rng, inst, dominant)]
+            candidates += [random_maximal_matching(rng, inst) for _ in range(4)]
+            for m in candidates:
+                ok, cert = is_popular_structure(inst, m)
+                assert ok is is_popular_weight(inst, m) is (_reference_witness(inst, m) is not None)
+                if not ok:
+                    kinds.add(cert.kind)
+                    assert check_structure(inst, m, cert), (inst, m, cert)
     assert kinds == {"path", "cycle"}
+
+
+def test_witness_agrees_with_oracle_and_reference():
+    """Every matching of small instances with incomplete lists: the
+    propagated witness, the reference's and the oracle agree on popularity,
+    and both witnesses are valid.  Some popular matchings leave vertices
+    unmatched, and on some the propagated witness, of minimal support, is
+    not the reference's."""
+    rng = random.Random(18)
+    popular = free = differ = 0
+    for _ in range(100):
+        inst = random_marriage(rng, rng.randint(1, 6), rng.randint(1, 6), rng.uniform(0.2, 0.8))
+        rep = classify_exhaustive(inst, cap=16)
+        truth = set(rep.popular)
+        for m in rep.matchings:
+            w, ref = find_witness_small(inst, m), _reference_witness(inst, m)
+            assert (w is not None) is (ref is not None) is (m in truth), (inst, m)
+            if w is not None:
+                assert verify_witness(inst, m, w) == (True, []), (inst, m, w)
+                assert verify_witness(inst, m, ref) == (True, []), (inst, m, ref)
+                popular += 1
+                free += 2 * len(m) < len(inst.vertices)
+                differ += w != ref
+    assert popular > 100 and free > 50 and differ > 5
 
 
 def test_free_search_closes_a_cycle():
