@@ -26,6 +26,10 @@ sweep, state reset in-kernel, free proposers on a LIFO stack), which the
 classifier runs on every input it can load the kernel for; the two are
 differentially tested.  The kernel is built on first use with the system C
 compiler into the user cache directory and loaded through ``ctypes``.
+Only that cold build imports ``subprocess``; a warm start finds the library
+by its sha256 name, so ``hashlib`` stays a module-level import
+(``build_probe``).  The records here are ``NamedTuple``s, so importing the
+module loads no ``dataclasses``.
 """
 
 from __future__ import annotations
@@ -36,10 +40,8 @@ import hashlib
 import heapq
 import os
 import shutil
-import subprocess
 import tempfile
 from array import array
-from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple
 
@@ -48,8 +50,7 @@ from .model import Instance, Matching
 BIG = 1 << 30
 
 
-@dataclass
-class BipartiteView:
+class BipartiteView(NamedTuple):
     """Compiled CSR form of a marriage instance (proposers = side A).
 
     Proposer p and responder r are the p-th A-side and r-th B-side vertex
@@ -180,8 +181,7 @@ def project_expansion(inst: Instance, prop_partner: list[int]) -> tuple[Matching
     return Matching._checked(inst, pairs), witness
 
 
-@dataclass
-class ProposalResult:
+class ProposalResult(NamedTuple):
     prop_partner: list[int]   # responder id or -1
     resp_partner: list[int]   # proposer id or -1
     cur_rank: list[int]       # crossrank of the held proposer, BIG if free
@@ -374,6 +374,12 @@ def build_probe(cache_dir: Path) -> Path:
     The file is named by a hash of the source and flags, and written
     atomically: compiled under a temporary name, then moved into place.
     Raises ProbeUnavailable naming the missing compiler or the build error.
+
+    Only a cold build imports ``subprocess``, so a warm start, which finds
+    the library in place, never loads it.  ``hashlib`` is imported at
+    module level all the same: the warm path names the cached file by the
+    sha256 of source and flags too, and a weaker digest could load a stale
+    or foreign library.
     """
     try:
         source = _PROBE_SOURCE.read_bytes()
@@ -387,6 +393,8 @@ def build_probe(cache_dir: Path) -> Path:
         cc = find_compiler()
         if cc is None:
             raise ProbeUnavailable("the compiled probe needs a C compiler; `cc` is not on PATH")
+        import subprocess
+
         fd, tmp = tempfile.mkstemp(prefix=".probe-", suffix=".so", dir=cache_dir)
         os.close(fd)
         try:

@@ -42,7 +42,7 @@ from .model import (
     serialize_instance,
     serialize_matching,
 )
-from .oracle import brute_sat, classify_exhaustive, enumerate_stable_matchings
+from .oracle import brute_sat, classify_exhaustive, iter_stable_matchings
 from .popularity import (
     find_witness_small,
     is_dominant,
@@ -336,11 +336,13 @@ def _verify_reduction(
     Satisfiable formulas are checked directly on the constructed matching.
     Unsatisfiable ones reduce to the base instance: the augmented targets
     inherit their "no" direction from it, so enumerating the base instance's
-    stable matchings settles all five.
+    stable matchings settles all five.  The matchings are streamed and every
+    one is judged, so each is dropped after its verdict and a search that
+    runs out of budget does so holding only the flags.
     """
     sat = brute_sat(nf)
     if sat is None:
-        flags = [is_dominant(base, s) for s in enumerate_stable_matchings(base)]
+        flags = [is_dominant(base, s) for s in iter_stable_matchings(base)]
         return {
             "g4": (all(flags), "UNSAT ⇒ every stable matching is dominant"),
             "g4max": (

@@ -20,8 +20,8 @@ instance's table and keeps nothing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import gt, lt
+from typing import NamedTuple
 
 from .model import Instance, Matching
 
@@ -35,8 +35,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class EdgeLabeling:
+class EdgeLabeling(NamedTuple):
     """Per non-matching edge, the ordered vote pair of its two endpoints.
 
     ``labels[(u, v)] == (vote_u, vote_v)`` for every canonical instance edge
@@ -47,8 +46,7 @@ class EdgeLabeling:
     blocking: frozenset[tuple[str, str]]
 
 
-@dataclass(frozen=True)
-class EdgeWeighting:
+class EdgeWeighting(NamedTuple):
     """Edge weights in {-2, 0, +2} plus self-loop weights in {-1, 0}.
 
     A matching edge weighs 0; any other edge weighs the sum of its endpoint

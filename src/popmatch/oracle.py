@@ -17,7 +17,11 @@ one stable matching (Irving & Leather, "The complexity of counting stable
 marriages", SIAM J. Comput. 1986).  On a roommates instance it is a search
 that prunes on definitely-blocking edges; its state is the partner-rank
 table of ``election`` restricted to the vertices fixed so far, and it reads
-every vote off that table by the same rule.  All enumerators build their
+every vote off that table by the same rule.  Both walks are generators
+and yield through ``iter_stable_matchings``, the one stream of stable
+matchings: ``enumerate_stable_matchings`` is its list, with the same order
+and budget, and a caller that judges each matching and drops it (the CLI's
+``reduce --verify``) holds one at a time.  All enumerators build their
 matchings through the trusted ``Matching._checked``: their pairs are
 canonical instance edges and disjoint by construction.
 """
@@ -25,9 +29,8 @@ canonical instance edges and disjoint by construction.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 from itertools import product
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .election import _blocking_edges, _partner_ranks, delta
 from .engine import gale_shapley
@@ -39,6 +42,7 @@ __all__ = [
     "enumerate_matchings",
     "classify_exhaustive",
     "enumerate_stable_matchings",
+    "iter_stable_matchings",
     "brute_sat",
 ]
 
@@ -59,8 +63,7 @@ def default_cap() -> int:
     return cap
 
 
-@dataclass(frozen=True)
-class ExhaustiveReport:
+class ExhaustiveReport(NamedTuple):
     """Every matching of an instance, classified from the definitions.
 
     ``blocking`` maps each matching to the tuple of its blocking edges, so
@@ -145,7 +148,14 @@ def classify_exhaustive(inst: Instance, cap: int | None = None) -> ExhaustiveRep
 def enumerate_stable_matchings(
     inst: Instance, node_budget: int = 10_000_000
 ) -> list[Matching]:
-    """Exactly the stable matchings.
+    """Exactly the stable matchings, as a list of ``iter_stable_matchings``."""
+    return list(iter_stable_matchings(inst, node_budget))
+
+
+def iter_stable_matchings(
+    inst: Instance, node_budget: int = 10_000_000
+) -> Iterator[Matching]:
+    """Exactly the stable matchings, one at a time.
 
     On a marriage instance they are the closed sets of the rotation poset
     (``_rotation_poset``), listed by ``_closed_sets``: the A-optimal matching
@@ -160,15 +170,15 @@ def enumerate_stable_matchings(
     ValueError is raised.  A roommates search charges one unit per node.  A
     marriage enumeration charges each call, which lists one closed set, one
     unit plus one per pair of its matching, so the budget also bounds the
-    memory the listed matchings take.
+    memory the listed matchings take.  The budget is charged as the
+    matchings are yielded, so a caller that drops each one after reading it
+    holds only the walk's state when the error comes.
     """
-    out: list[Matching] = []
     if inst.kind == "marriage":
         start, rots, preds = _rotation_poset(inst)
-        _closed_sets(inst, rots, preds, 0, [False] * len(rots), start, out, 0, node_budget)
+        yield from _closed_sets(inst, rots, preds, 0, [False] * len(rots), start, 0, node_budget)
     else:
-        _stable_search(inst, 0, {}, [], out, 0, node_budget)
-    return out
+        yield from _stable_search(inst, 0, {}, [], 0, node_budget)
 
 
 def _rotation_poset(inst: Instance):
@@ -253,32 +263,32 @@ def _next_man(inst: Instance, partner: dict[str, str], scan: dict[str, int], a: 
     return None
 
 
-def _closed_sets(inst, rots, preds, k, chosen, partner, out, nodes, node_budget) -> int:
+def _closed_sets(inst, rots, preds, k, chosen, partner, nodes, node_budget):
     """One closed set and its extensions; returns the budget units spent so far.
 
     ``chosen`` flags the rotations in the closed set, all of them before
     ``k``, and ``partner`` maps each matched A vertex to its partner in the
-    set's stable matching.  The set's matching is appended to ``out``, then
-    each later rotation whose predecessors are all chosen is added in turn.
-    Every closed set is reached once, by adding its rotations in chain order.
+    set's stable matching.  The set's matching is yielded, then each later
+    rotation whose predecessors are all chosen is added in turn.  Every
+    closed set is reached once, by adding its rotations in chain order.
     """
     nodes += 1 + len(partner)
     if nodes > node_budget:
         raise ValueError("stable-matching search exceeded its node budget")
-    out.append(Matching._checked(inst, list(partner.items())))
+    yield Matching._checked(inst, list(partner.items()))
     for j in range(k, len(rots)):
         if all(chosen[i] for i in preds[j]):
             chosen[j] = True
             for a, _, new in rots[j]:
                 partner[a] = new
-            nodes = _closed_sets(inst, rots, preds, j + 1, chosen, partner, out, nodes, node_budget)
+            nodes = yield from _closed_sets(inst, rots, preds, j + 1, chosen, partner, nodes, node_budget)
             for a, old, _ in rots[j]:
                 partner[a] = old
             chosen[j] = False
     return nodes
 
 
-def _stable_search(inst, lo, c, pairs, out, nodes, node_budget) -> int:
+def _stable_search(inst, lo, c, pairs, nodes, node_budget):
     """One search node; returns the number of nodes visited so far.
 
     Vertices are fixed in id order: the lowest open vertex either pairs with
@@ -287,8 +297,7 @@ def _stable_search(inst, lo, c, pairs, out, nodes, node_budget) -> int:
 
     ``c`` maps each fixed vertex to its partner's rank, or deg + 1 when it
     stays unmatched (open vertices are absent), and ``pairs`` lists the
-    fixed pairs in canonical form.  Completed stable matchings are appended
-    to ``out``.
+    fixed pairs in canonical form.  Completed stable matchings are yielded.
     """
     nodes += 1
     if nodes > node_budget:
@@ -297,7 +306,7 @@ def _stable_search(inst, lo, c, pairs, out, nodes, node_budget) -> int:
     while lo < len(verts) and verts[lo] in c:
         lo += 1
     if lo == len(verts):
-        out.append(Matching._checked(inst, pairs))
+        yield Matching._checked(inst, pairs)
         return nodes
     u = verts[lo]
     lst = inst.prefs[u]
@@ -308,12 +317,12 @@ def _stable_search(inst, lo, c, pairs, out, nodes, node_budget) -> int:
         c[v] = inst.rank[v][u]
         if not _fixed_blocks(inst, c, u) and not _fixed_blocks(inst, c, v):
             pairs.append(inst.canonical_edge(u, v))
-            nodes = _stable_search(inst, lo + 1, c, pairs, out, nodes, node_budget)
+            nodes = yield from _stable_search(inst, lo + 1, c, pairs, nodes, node_budget)
             pairs.pop()
         del c[u], c[v]
     c[u] = len(lst) + 1
     if not _fixed_blocks(inst, c, u):
-        nodes = _stable_search(inst, lo + 1, c, pairs, out, nodes, node_budget)
+        nodes = yield from _stable_search(inst, lo + 1, c, pairs, nodes, node_budget)
     del c[u]
     return nodes
 

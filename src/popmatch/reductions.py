@@ -23,8 +23,7 @@ between the two representations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .model import Instance, Matching
 
@@ -230,8 +229,7 @@ def normalize_3sat(f: CnfFormula) -> NormalizedFormula:
     return NormalizedFormula(n, pos)
 
 
-@dataclass(frozen=True, eq=False)
-class GadgetMap:
+class GadgetMap(NamedTuple):
     """Where each piece of a compiled formula lives in the instance.
 
     ``gadgets`` maps the 1-based (clause, literal position) to the four
@@ -246,7 +244,7 @@ class GadgetMap:
     gadgets: Mapping[tuple[int, int], tuple[str, str, str, str]]
     basic_edges: tuple[tuple[str, str], ...]
     consistency_edges: tuple[tuple[str, str], ...]
-    specials: Mapping[str, str] = field(default_factory=dict)
+    specials: Mapping[str, str]
 
 
 def _gadget_names(clause: int, pos: int, negative: bool) -> tuple[str, str, str, str]:

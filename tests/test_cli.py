@@ -1,8 +1,10 @@
 import json
 import random
+import weakref
 
 import pytest
 
+from popmatch import cli, oracle
 from popmatch.cli import run
 from popmatch.engine import solve_dominant
 from popmatch.gen import random_marriage, random_maximal_matching, random_roommates
@@ -244,6 +246,26 @@ def test_reduce_verify_unsat_exact_line(tmp_path, capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert "UNSAT ⇒ no stable∧dominant matching: CONFIRMED" in out
+
+
+def test_reduce_verify_judges_stable_matchings_one_at_a_time(tmp_path, capsys, monkeypatch):
+    """On an unsatisfiable formula the base instance's stable matchings are
+    streamed: when one is listed, only the one judged last is still alive."""
+    seen, most_alive = [], 0
+
+    def stream(inst, node_budget=10_000_000):
+        nonlocal most_alive
+        for m in oracle.iter_stable_matchings(inst, node_budget):
+            most_alive = max(most_alive, sum(r() is not None for r in seen))
+            seen.append(weakref.ref(m))
+            yield m
+
+    monkeypatch.setattr(cli, "iter_stable_matchings", stream)
+    cnf = tmp_path / "x1_and_not_x1.cnf"
+    cnf.write_text("p cnf 1 2\n1 1 0\n-1 -1 0\n")
+    assert run(["reduce", str(cnf), "--target", "g4", "--verify"]) == 0
+    assert "UNSAT ⇒ every stable matching is dominant: CONFIRMED" in capsys.readouterr().out
+    assert len(seen) == 81 and most_alive == 1
 
 
 def test_reduce_verify_sat_targets(tmp_path, capsys):

@@ -127,8 +127,7 @@ def test_rotation_enumerator_matches_pruned_search_and_oracle():
     for inst in instances:
         fast = enumerate_stable_matchings(inst)
         counts.append(len(fast))
-        pruned: list = []
-        _stable_search(inst, 0, {}, [], pruned, 0, 10**7)
+        pruned = list(_stable_search(inst, 0, {}, [], 0, 10**7))
         assert len(fast) == len(set(fast))
         assert set(fast) == set(pruned)
         if len(inst.vertices) <= 8:
