@@ -24,7 +24,11 @@ The pure-Python functions are the reference semantics.  ``probe_edges``
 additionally has a compiled twin, the C kernel in ``_probe.c`` (one batched
 sweep, state reset in-kernel, free proposers on a LIFO stack), which the
 classifier runs on every input it can load the kernel for; the two are
-differentially tested.  The kernel is built on first use with the system C
+differentially tested.  The kernel takes the instance's own
+``compile_view`` and the CSR slot of each edge (``edge_slots``), checks
+that they fit, builds the expansion by the arithmetic of ``expansion_view``
+and the per-edge values itself, and hands back the accepting run, so the
+Python side builds neither.  The kernel is built on first use with the system C
 compiler into the user cache directory and loaded through ``ctypes``.
 Only that cold build imports ``subprocess``; a warm start finds the library
 by its sha256 name, so ``hashlib`` stays a module-level import
@@ -295,9 +299,10 @@ def output_is_stable(view: BipartiteView, res: ProposalResult) -> bool:
 # the answer.  The probes return the first accepting edge index, or -1.
 #
 # ``probe_edges_python`` is the definition and runs every edge.  The
-# compiled twin also skips, without a run, every edge where a is last on
-# b's list (e_posb + 1 >= e_degb): no rank lies strictly between the two,
-# so the b+ check cannot pass.
+# compiled twin derives these values from each edge's ``compile_view`` slot
+# instead of taking the arrays, and also skips, without a run, every edge
+# where a is last on b's list (e_posb + 1 >= e_degb): no rank lies strictly
+# between the two, so the b+ check cannot pass.
 
 
 def probe_run(view: BipartiteView, aplus: int, start: int, bminus: int) -> ProposalResult:
@@ -429,13 +434,9 @@ def _load_probe():
     kernel = lib.popmatch_probe_edges
     i64 = ctypes.c_int64
     p64 = ctypes.POINTER(i64)
-    kernel.argtypes = [i64, i64, p64, p64, p64, i64, *[p64] * 8, p64]
+    kernel.argtypes = [i64, i64, i64, p64, p64, p64, i64, p64, p64]
     kernel.restype = i64
     return kernel, None
-
-
-def _in_range(xs, hi: int) -> bool:
-    return not xs or (min(xs) >= 0 and max(xs) < hi)
 
 
 def _buffer(xs):
@@ -443,42 +444,59 @@ def _buffer(xs):
     return (ctypes.c_int64 * len(a)).from_buffer(a)  # keeps ``a`` alive
 
 
-def probe_edges_compiled(view: BipartiteView, *edge_arrays) -> int:
-    """Compiled twin of ``probe_edges_python``: first accepting edge, or -1.
+def _scratch_sizes(view: BipartiteView) -> tuple[int, int, int]:
+    """The kernel scratch's regions for ``view``: run state, expansion, input.
 
-    Takes the same eight edge arrays.  Raises ProbeUnavailable when the
-    kernel cannot be built or loaded here.
+    ``_probe.c`` lays them out in this order; the run state starts with the
+    expansion's ``prop_partner``.
+    """
+    n_a, n_b, m = view.n_prop, view.n_resp, len(view.adj)
+    P, R = 2 * n_a + n_b, 2 * n_b + n_a
+    return 4 * P + 2 * R, P + 1 + 4 * (m + n_a + n_b), n_b + m
+
+
+def edge_slots(inst: Instance) -> list[int]:
+    """The ``compile_view`` slot of each edge of ``inst``, in edge order.
+
+    ``inst.edges`` follows the vertex order, so it leaves CSR order when the
+    two sides interleave there; the probe scans in edge order.
+    """
+    off = compile_view(inst).off
+    first = {a: off[i] - 1 for i, a in enumerate(inst.side_a())}
+    rank = inst.rank
+    return [first[a] + rank[a][b] for a, b in inst.edges]
+
+
+def probe_edges_compiled(view: BipartiteView, order) -> tuple[int, list[int] | None]:
+    """Compiled twin of ``probe_edges_python``, on the instance's own view.
+
+    ``view`` is ``compile_view(inst)`` and ``order`` is ``edge_slots(inst)``;
+    the kernel builds the expansion and the per-edge values itself.  Returns
+    the first accepting edge index and the expansion ``prop_partner`` of its
+    run (what ``probe_run`` gives), or (-1, None).  Raises ValueError when
+    the kernel finds that the arrays do not fit together, and
+    ProbeUnavailable when the kernel cannot be built or loaded here.
     """
     kernel, reason = _load_probe()
     if kernel is None:
         raise ProbeUnavailable(reason)
-    e_aplus, e_aminus, _, e_bplus, _, e_start, _, _ = edge_arrays
-    P, R = view.n_prop, view.n_resp
-    off = view.off
-    n = len(e_aplus)
-    ok = (
-        all(len(a) == n for a in edge_arrays)
-        and len(off) == P + 1
-        and off[0] == 0
-        and len(view.adj) == len(view.crossrank) == off[-1]
-        and all(x <= y for x, y in zip(off, off[1:]))
-        and _in_range(view.adj, R)
-        and _in_range(e_aplus, P)
-        and _in_range(e_aminus, P)
-        and _in_range(e_bplus, R)
-        and all(0 <= s <= off[p + 1] - off[p] for p, s in zip(e_aplus, e_start))
-    )
-    if not ok:
-        raise ValueError("probe arrays do not fit the compiled view")
-    return int(
-        kernel(
-            P,
-            R,
-            _buffer(off),
+    m = len(view.adj)
+    hit = -2
+    if len(view.off) == view.n_prop + 1 and len(view.crossrank) == m:
+        work = (ctypes.c_int64 * sum(_scratch_sizes(view)))()
+        hit = kernel(
+            view.n_prop,
+            view.n_resp,
+            m,
+            _buffer(view.off),
             _buffer(view.adj),
             _buffer(view.crossrank),
-            n,
-            *map(_buffer, edge_arrays),
-            _buffer([0] * (4 * P + 2 * R)),  # kernel scratch
+            len(order),
+            _buffer(order),
+            work,
         )
-    )
+    if hit == -2:
+        raise ValueError("probe arrays do not fit the compiled view")
+    if hit < 0:
+        return -1, None
+    return hit, work[: 2 * view.n_prop + view.n_resp]

@@ -12,9 +12,12 @@ blocking edge.  For each original edge (a, b) it runs one constrained
 proposal round in the expansion where b's receiving copy accepts only its
 dummy and a's proposing copy starts just below b, then applies the
 acceptance checks on the output, the O(1) ones before the stability scan.
-The compiled probe rejects an edge where a is last on b's list without a
-run, since its b+ check cannot pass there.  The first accepted edge yields
-the projected matching, which that edge blocks.  The edge-pair variant is
+The compiled probe reads the instance's own ``_gs.compile_view``, the form
+``gale_shapley`` runs on, and builds the expansion from it; it rejects an
+edge where a is last on b's list without a run, since its b+ check cannot
+pass there.  The Python probe runs on ``_gs.expansion_view``.  The first
+accepted edge's run, which the compiled probe hands back, projects to the
+matching returned, which that edge blocks.  The edge-pair variant is
 the cubic cross-check over pairs of strictly-worse neighbors.
 """
 
@@ -116,32 +119,33 @@ def exists_unstable_popular(
     inst.require_marriage("the unstable-popular decision")
     if backend not in ("auto", "python", "compiled"):
         raise ValueError(f"unknown backend {backend!r}")
-    view = _gs.expansion_view(inst)
-    arrays = _gs.expansion_probes(inst)
-    m_edges = len(inst.edges)
-
     hit = None
     if backend != "python":
         try:
-            hit = _gs.probe_edges_compiled(view, *arrays)
+            hit, partners = _gs.probe_edges_compiled(_gs.compile_view(inst), _gs.edge_slots(inst))
         except _gs.ProbeUnavailable:
             if backend == "compiled":
                 raise
     if hit is not None:
         if stats is not None:
             stats["backend"] = "compiled"
-            stats["runs"] = m_edges if hit < 0 else hit + 1
+            stats["runs"] = len(inst.edges) if hit < 0 else hit + 1
     else:
+        view = _gs.expansion_view(inst)
+        arrays = _gs.expansion_probes(inst)
         counter = [0]
         hit = _gs.probe_edges_python(view, *arrays, counter=counter)
         if stats is not None:
             stats["backend"] = "python"
             stats["runs"] = counter[0]
+        if hit >= 0:
+            partners = _gs.probe_run(
+                view, arrays.aplus[hit], arrays.start[hit], arrays.bminus[hit]
+            ).prop_partner
 
     if hit < 0:
         return None
-    res = _gs.probe_run(view, arrays.aplus[hit], arrays.start[hit], arrays.bminus[hit])
-    return _gs.project_expansion(inst, res.prop_partner)[0]
+    return _gs.project_expansion(inst, partners)[0]
 
 
 def exists_unstable_popular_pairwise(inst: Instance) -> Matching | None:

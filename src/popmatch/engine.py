@@ -20,9 +20,11 @@ of the original, and which copy of a vertex is matched encodes its witness
 value.
 
 G' exists only in compiled form, built by index arithmetic in
-``_gs.expansion_view``.  The i-th vertex of side A and the j-th of side B
-get the proposer ids a+ = 2i, a- = 2i+1 and responder id d(a) = 2|B|+i,
-and the responder ids b+ = 2j, b- = 2j+1 and proposer id d(b) = 2|A|+j.
+``_gs.expansion_view``; the decision's C probe builds its own copy by the
+same arithmetic in ``_probe.c``.  The i-th vertex of side A and the j-th
+of side B get the proposer ids a+ = 2i, a- = 2i+1 and responder id
+d(a) = 2|B|+i, and the responder ids b+ = 2j, b- = 2j+1 and proposer id
+d(b) = 2|A|+j.
 ``solve_dominant``, the classifier and the transformations run on these
 ids and map a matching back by the same arithmetic
 (``_gs.project_expansion``), never naming a copy.

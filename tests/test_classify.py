@@ -98,12 +98,17 @@ def test_compiled_backend_agrees_when_available():
 
 @pytest.mark.skipif(_gs.find_compiler() is None, reason="no C compiler (cc) on PATH")
 def test_compiled_probe_hit_index_matches_reference():
-    """Stack-ordered C kernel and heap-ordered reference pick the same edge.
+    """Stack-ordered C kernel and heap-ordered reference pick the same edge
+    and give the same run on it.
 
-    The kernel rejects "a is last on b's list" edges without a run and
-    checks its O(1) conditions first; the reference runs every edge in
-    full.  The sample covers chains and accepting edges whose a is second
-    to last on b's list, where a skip one place too wide would show.
+    The kernel builds its expansion from the instance's own compiled view,
+    rejects "a is last on b's list" edges without a run and checks its O(1)
+    conditions first; the reference runs every edge in full on
+    ``expansion_view``.  On a hit the kernel hands back its accepting run,
+    and the proposer-optimal output does not depend on the order in which
+    free proposers propose, so that run must equal ``probe_run``'s.  The
+    sample covers chains and accepting edges whose a is second to last on
+    b's list, where a skip one place too wide would show.
     """
     rng = random.Random(17)
     insts = [chain_instance(m) for m in range(1, 61)]
@@ -116,17 +121,49 @@ def test_compiled_probe_hit_index_matches_reference():
         view = _gs.expansion_view(inst)
         arrays = _gs.expansion_probes(inst)
         hit = _gs.probe_edges_python(view, *arrays)
-        assert _gs.probe_edges_compiled(view, *arrays) == hit, inst
-        if hit >= 0:
-            hits += 1
-            second_to_last += arrays.posb[hit] == arrays.degb[hit] - 2
+        got, partners = _gs.probe_edges_compiled(_gs.compile_view(inst), _gs.edge_slots(inst))
+        assert got == hit, inst
+        if hit < 0:
+            assert partners is None
+            continue
+        res = _gs.probe_run(view, arrays.aplus[hit], arrays.start[hit], arrays.bminus[hit])
+        assert partners == res.prop_partner, inst
+        want = _gs.project_expansion(inst, res.prop_partner)[0]
+        assert _gs.project_expansion(inst, partners)[0] == want
+        hits += 1
+        second_to_last += arrays.posb[hit] == arrays.degb[hit] - 2
     assert hits > 0 and second_to_last > 0  # the accepting path runs too
+
+
+@pytest.mark.skipif(_gs.find_compiler() is None, reason="no C compiler (cc) on PATH")
+@pytest.mark.parametrize("fault", ["adj", "off", "order", "crossrank"])
+def test_kernel_rejects_views_that_do_not_fit(fig1, fault):
+    """The kernel checks its own input and refuses it before any run: an
+    adj entry past |B|, an off that falls, an order entry past |E|, and a
+    crossrank past deg(b)."""
+    view, order = _gs.compile_view(fig1), _gs.edge_slots(fig1)
+    assert _gs.probe_edges_compiled(view, order)[0] >= 0  # the well-formed view runs
+    adj, off, crossrank = list(view.adj), list(view.off), list(view.crossrank)
+    if fault == "adj":
+        adj[-1] = view.n_resp
+    elif fault == "off":
+        off[1], off[2] = off[2], off[1]
+        assert off[1] > off[2]
+    elif fault == "order":
+        order = order[:-1] + [len(fig1.edges)]
+    else:
+        b = view.adj[0]
+        crossrank[0] = sum(r == b for r in view.adj)
+    bad = _gs.BipartiteView(off, adj, crossrank, view.n_prop, view.n_resp)
+    with pytest.raises(ValueError, match="probe arrays do not fit the compiled view"):
+        _gs.probe_edges_compiled(bad, order)
 
 
 @pytest.mark.skipif(_gs.find_compiler() is None, reason="no C compiler (cc) on PATH")
 def test_compiled_skip_makes_no_run():
     """Where every edge has a last on b's list, the kernel decides -1
-    without resetting or running: its scratch comes back untouched."""
+    without building the expansion, resetting or running: those two regions
+    of its scratch come back untouched."""
     kernel, reason = _gs._load_probe()
     assert kernel is not None, reason
     inst = Instance(
@@ -135,16 +172,17 @@ def test_compiled_skip_makes_no_run():
         {"a1": ["b2", "b1"], "a2": ["b3"], "b1": ["a1"], "b2": ["a1"], "b3": ["a2"]},
         {"a1": "A", "a2": "A", "b1": "B", "b2": "B", "b3": "B"},
     )
-    view = _gs.expansion_view(inst)
     arrays = _gs.expansion_probes(inst)
     assert all(p + 1 == d for p, d in zip(arrays.posb, arrays.degb))
-    P, R = view.n_prop, view.n_resp
-    work = array("q", [7] * (4 * P + 2 * R))
+    view, order = _gs.compile_view(inst), _gs.edge_slots(inst)
+    run, expansion, rest = _gs._scratch_sizes(view)
+    work = array("q", [7] * (run + expansion + rest))
     scratch = (ctypes.c_int64 * len(work)).from_buffer(work)
     views = map(_gs._buffer, (view.off, view.adj, view.crossrank))
-    hit = kernel(P, R, *views, len(inst.edges), *map(_gs._buffer, arrays), scratch)
+    hit = kernel(view.n_prop, view.n_resp, len(view.adj), *views, len(order), _gs._buffer(order), scratch)
     assert hit == -1
-    assert set(work) == {7}
+    assert set(work[: run + expansion]) == {7}
+    assert set(work[run + expansion :]) != {7}  # the input check did run
 
 
 @settings(max_examples=60, deadline=None)
@@ -208,20 +246,27 @@ def test_auto_backend_tries_compiled_then_falls_back(fig1, monkeypatch):
     assert want[chain]["runs"] == 200 and want[fig1]["runs"] < len(fig1.edges)
 
     calls = []
+    by_view = {id(_gs.compile_view(inst)): inst for inst in (fig1, chain)}
 
-    def kernel(view, *arrays):  # the reference stands in for the C kernel
-        calls.append(len(arrays[0]))
-        return _gs.probe_edges_python(view, *arrays)
+    def kernel(view, order):  # the reference stands in for the C kernel
+        calls.append(len(order))
+        inst = by_view[id(view)]
+        ex, arrays = _gs.expansion_view(inst), _gs.expansion_probes(inst)
+        hit = _gs.probe_edges_python(ex, *arrays)
+        if hit < 0:
+            return -1, None
+        return hit, _gs.probe_run(ex, arrays.aplus[hit], arrays.start[hit], arrays.bminus[hit]).prop_partner
 
     monkeypatch.setattr(_gs, "probe_edges_compiled", kernel)
     for inst in (fig1, chain):
         stats = {}
-        exists_unstable_popular(inst, stats=stats)
+        found = exists_unstable_popular(inst, stats=stats)
         assert stats == {"backend": "compiled", "runs": want[inst]["runs"]}
+        assert found == exists_unstable_popular(inst, backend="python")
     assert calls == [len(fig1.edges), 200]
 
-    def unavailable(view, *arrays):
-        calls.append(len(arrays[0]))
+    def unavailable(view, order):
+        calls.append(len(order))
         raise _gs.ProbeUnavailable("no compiler here")
 
     calls.clear()

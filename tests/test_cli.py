@@ -131,6 +131,27 @@ def test_verify_witness_round_trip(files, capsys, tmp_path):
     assert capsys.readouterr().out.strip() == "VALID WITNESS"
 
 
+def test_verify_stable_text(files, capsys):
+    assert run(["verify", "--stable", str(files / "fig1.inst"), str(files / "m1.match")]) == 0
+    assert capsys.readouterr().out == "STABLE\n"
+
+
+def test_verify_witness_text_lists_violations(files, capsys, tmp_path):
+    """m2 with a1 and a2 at +1: the sum is off by one, and (a1, b1) and
+    (a3, b1) are not covered."""
+    wfile = tmp_path / "bad.w"
+    wfile.write_text("a1 1\na2 1\na3 0\nb1 -1\nb2 0\nb3 0\n")
+    argv = ["verify", "--witness", str(files / "fig1.inst"), str(files / "m2.match"), str(wfile)]
+    assert run(argv) == 1
+    assert capsys.readouterr().out == "INVALID WITNESS\nsum 1\nedge a1 b1\nedge a3 b1\n"
+
+
+def test_verify_dominant_text_on_unpopular(files, capsys):
+    """m3 loses to m2, so it is not dominant for want of popularity."""
+    assert run(["verify", "--dominant", str(files / "fig1.inst"), str(files / "m3.match")]) == 1
+    assert capsys.readouterr().out == "NOT DOMINANT\nnot popular; path: a1 b2 a2 b1\n"
+
+
 def test_verify_wrong_arity(files, capsys):
     assert run(["verify", "--stable", str(files / "fig1.inst")]) == 2
 

@@ -1,6 +1,9 @@
 """Proposal solvers: the stable run, the expansion, and the dominant run."""
 
+import ctypes
 import random
+from array import array
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import pytest
@@ -231,6 +234,25 @@ def _cases(rng, n):
     yield Instance("marriage", ["x-", "x", "d(x)", "x+"], prefs, side)
 
 
+def _kernel_expansion(kernel, inst):
+    """The expansion the C kernel builds in its scratch for ``inst``, or
+    None when its scan skips every edge and so builds none."""
+    view, order = _gs.compile_view(inst), _gs.edge_slots(inst)
+    run, expansion, rest = _gs._scratch_sizes(view)
+    work = array("q", [-7] * (run + expansion + rest))
+    scratch = (ctypes.c_int64 * len(work)).from_buffer(work)
+    csr = map(_gs._buffer, (view.off, view.adj, view.crossrank))
+    n_a, n_b, m = view.n_prop, view.n_resp, len(view.adj)
+    assert kernel(n_a, n_b, m, *csr, len(order), _gs._buffer(order), scratch) >= -1
+    built = work[run : run + expansion].tolist()
+    if set(built) == {-7}:
+        return None
+    P, X = 2 * n_a + n_b, 2 * (m + n_a + n_b)
+    return _gs.BipartiteView(
+        built[: P + 1], built[P + 1 : P + 1 + X], built[P + 1 + X :], P, 2 * n_b + n_a
+    )
+
+
 def test_expansion_matches_named_reference():
     """The arithmetic expansion, its probes, projection and decision, on 2,001 instances.
 
@@ -238,10 +260,15 @@ def test_expansion_matches_named_reference():
     vertices and incomplete lists), and the two sides interleaved in the
     vertex order, which the copy ids must not depend on; last, vertices
     named ``x``, ``x+``, ``x-`` and ``d(x)``.  The decision is checked
-    against the reference probe run on the named expansion.
+    against the reference probe run on the named expansion.  Both forms of
+    the expansion are pinned: ``expansion_view`` and, where the compiled
+    probe loads, the one the C kernel builds from ``compile_view``, whose
+    edge slots are checked too.
     """
     rng = random.Random(31)
-    seen = dict.fromkeys(("empty side", "isolated", "incomplete", "hit", "probe hit"), 0)
+    kernel = _gs._load_probe()[0]
+    keys = ("empty side", "isolated", "incomplete", "hit", "probe hit")
+    seen = dict.fromkeys(keys + ("kernel expansion",) * (kernel is not None), 0)
     for inst in _cases(rng, 2000):
         ref = _reference_gprime(inst)
         assert len(ref.instance.vertices) == 3 * len(inst.vertices)
@@ -249,6 +276,14 @@ def test_expansion_matches_named_reference():
         probes = _reference_probes(inst, ref)
         assert _gs.expansion_view(inst) == ref_view
         assert _gs.expansion_probes(inst) == probes
+        view, side_a, side_b = _gs.compile_view(inst), inst.side_a(), inst.side_b()
+        slots = _gs.edge_slots(inst)
+        owners = [side_a[bisect_right(view.off, s) - 1] for s in slots]
+        assert list(zip(owners, (side_b[view.adj[s]] for s in slots))) == list(inst.edges)
+        if kernel is not None:
+            built = _kernel_expansion(kernel, inst)
+            assert built in (None, ref_view)
+            seen["kernel expansion"] += built is not None
 
         m_exp = gale_shapley(ref.instance)
         m, w = solve_dominant(inst)
