@@ -14,26 +14,28 @@ down its list until accepted or exhausted.  Runs support
   * a seed matching (seeded pairs start matched; a dumped seeded proposer
     restarts from the top of its list).
 
-``compile_view`` compiles a marriage instance by its names;
-``expansion_view`` compiles its three-copy expansion straight from the
-instance's rank table by index arithmetic, and ``expansion_probes`` and
-``project_expansion`` are the same arithmetic for the probe's per-edge
-arrays and for the way back to the original instance.
+``compile_view`` compiles a marriage instance by its names.  Its
+three-copy expansion is built from that compiled form by index arithmetic
+(``expansion_view``, cached on the instance), and ``project_expansion`` is
+the same arithmetic on the way back to the original instance.
 
-The pure-Python functions are the reference semantics.  ``probe_edges``
-additionally has a compiled twin, the C kernel in ``_probe.c`` (one batched
-sweep, state reset in-kernel, free proposers on a LIFO stack), which the
-classifier runs on every input it can load the kernel for; the two are
-differentially tested.  The kernel takes the instance's own
-``compile_view`` and the CSR slot of each edge (``edge_slots``), checks
-that they fit, builds the expansion by the arithmetic of ``expansion_view``
-and the per-edge values itself, and hands back the accepting run, so the
-Python side builds neither.  The kernel is built on first use with the system C
-compiler into the user cache directory and loaded through ``ctypes``.
-Only that cold build imports ``subprocess``; a warm start finds the library
-by its sha256 name, so ``hashlib`` stays a module-level import
-(``build_probe``).  The records here are ``NamedTuple``s, so importing the
-module loads no ``dataclasses``.
+The pure-Python functions are the reference semantics.  The per-edge probe
+of the decision has one contract and two implementations:
+``probe_edges_python``, the reference, and ``probe_edges_compiled``, the C
+kernel in ``_probe.c`` (one batched sweep, state reset in-kernel, free
+proposers on a LIFO stack), which the classifier runs on every input it
+can load the kernel for.  Both take the instance's ``compile_view`` and
+the CSR slot of each edge (``edge_slots``), build the expansion by the
+same arithmetic, work out each edge's values from its slot, and return
+the first accepting edge index with the expansion ``prop_partner`` of its
+run, or (-1, None); the two are differentially tested.
+
+The kernel is built on first use with the system C compiler into the user
+cache directory and loaded through ``ctypes``.  Only that cold build
+imports ``subprocess``; a warm start finds the library by its sha256 name,
+so ``hashlib`` stays a module-level import (``build_probe``).  The records
+here are ``NamedTuple``s, so importing the module loads no
+``dataclasses``.
 """
 
 from __future__ import annotations
@@ -101,66 +103,40 @@ def compile_view(inst: Instance) -> BipartiteView:
 # d(b) = 2|A|+j and the responders b+ = 2j, b- = 2j+1, d(a) = 2|B|+i.
 
 
+def _expand(view: BipartiteView) -> BipartiteView:
+    """The three-copy expansion of a compiled marriage instance.
+
+    The arithmetic of ``build_expansion`` in ``_probe.c``, on the same input.
+    """
+    off, adj, crossrank, n_a, n_b = view
+    deg = [0] * n_b
+    for j in adj:
+        deg[j] += 1
+    nb2 = 2 * n_b
+    xoff = [0]
+    xadj: list[int] = []
+    xcr: list[int] = []
+    for i in range(n_a):
+        bs, ks = adj[off[i] : off[i + 1]], crossrank[off[i] : off[i + 1]]
+        # a+ ranks b- in a's order, then d(a); a- ranks d(a) first, then b+
+        xadj += [2 * j + 1 for j in bs] + [nb2 + i, nb2 + i] + [2 * j for j in bs]
+        xcr += [k + 1 for k in ks] + [0, 1] + ks
+        xoff += [xoff[-1] + len(bs) + 1, xoff[-1] + 2 * len(bs) + 2]
+    for j in range(n_b):
+        # d(b) ranks b+ (where it is last) before b- (where it is first)
+        xadj += [2 * j, 2 * j + 1]
+        xcr += [deg[j], 0]
+        xoff.append(xoff[-1] + 2)
+    return BipartiteView(xoff, xadj, xcr, 2 * n_a + n_b, nb2 + n_a)
+
+
 def expansion_view(inst: Instance) -> BipartiteView:
     """The compiled expansion of a marriage instance (cached on the instance)."""
     inst.require_marriage("the expansion")
     cached = getattr(inst, "_expansion_view", None)
-    if cached is not None:
-        return cached
-    side_a, side_b = inst.side_a(), inst.side_b()
-    slot = side_index(inst)
-    prefs, rank = inst.prefs, inst.rank
-    nb2 = 2 * len(side_b)
-    off = [0]
-    adj: list[int] = []
-    crossrank: list[int] = []
-    for i, a in enumerate(side_a):
-        b_plus = [2 * slot[b] for b in prefs[a]]
-        ranks = [rank[b][a] for b in prefs[a]]
-        # a+ ranks b- in a's order, then d(a); a- ranks d(a) first, then b+
-        adj += [r + 1 for r in b_plus] + [nb2 + i, nb2 + i] + b_plus
-        crossrank += ranks + [0, 1] + [k - 1 for k in ranks]
-        off += [off[-1] + len(ranks) + 1, off[-1] + 2 * len(ranks) + 2]
-    for j, b in enumerate(side_b):
-        # d(b) ranks b+ (where it is last) before b- (where it is first)
-        adj += [2 * j, 2 * j + 1]
-        crossrank += [len(prefs[b]), 0]
-        off.append(off[-1] + 2)
-    view = BipartiteView(off, adj, crossrank, 2 * len(side_a) + len(side_b), nb2 + len(side_a))
-    inst._expansion_view = view
-    return view
-
-
-class ExpansionProbes(NamedTuple):
-    """The probe's per-edge arrays (see below), one entry per edge of ``inst``."""
-
-    aplus: list[int]
-    aminus: list[int]
-    dbresp: list[int]
-    bplus: list[int]
-    bminus: list[int]
-    start: list[int]
-    posb: list[int]
-    degb: list[int]
-
-
-def expansion_probes(inst: Instance) -> ExpansionProbes:
-    """The eight probe arrays for every edge of ``inst``, in edge order."""
-    slot = side_index(inst)
-    rank = inst.rank
-    nb2 = 2 * len(inst.side_b())
-    ia = [slot[a] for a, _ in inst.edges]
-    jb = [slot[b] for _, b in inst.edges]
-    return ExpansionProbes(
-        [2 * i for i in ia],
-        [2 * i + 1 for i in ia],
-        [nb2 + i for i in ia],
-        [2 * j for j in jb],
-        [2 * j + 1 for j in jb],
-        [rank[a][b] for a, b in inst.edges],
-        [rank[b][a] - 1 for a, b in inst.edges],
-        [len(inst.prefs[b]) for _, b in inst.edges],
-    )
+    if cached is None:
+        cached = inst._expansion_view = _expand(compile_view(inst))
+    return cached
 
 
 def project_expansion(inst: Instance, prop_partner: list[int]) -> tuple[Matching, dict[str, int]]:
@@ -278,68 +254,51 @@ def output_is_stable(view: BipartiteView, res: ProposalResult) -> bool:
 
 # -- batched per-edge probe ------------------------------------------------
 #
-# Input arrays, one entry per probed edge (a, b) of the ORIGINAL graph, all
-# referring to the compiled expansion view:
-#   e_aplus, e_aminus, e_dbresp : proposer id of a+, proposer id of a-,
-#                                 responder id of d(a)
-#   e_bplus, e_bminus           : responder ids of b+ and b-
-#   e_start                     : relative start slot for a+  (skip b and all
-#                                 better choices)
-#   e_posb                      : slot of a- in b+'s list = b's original rank
-#                                 of a (0-based)
-#   e_degb                      : original degree of b
+# The input is ``compile_view(inst)`` and the scan order, ``edge_slots(inst)``:
+# the e-th probed edge (a, b) is the CSR slot s = order[e].  Its values on
+# the expansion follow from s and the copy numbering above: a is the owner
+# i of s (off[i] <= s < off[i+1]) and b is j = adj[s], so a+ = 2i,
+# a- = 2i+1, d(a) = 2|B|+i, b+ = 2j and b- = 2j+1; a+ starts at
+# start = s - off[i] + 1 (past b and every better choice); posb =
+# crossrank[s] is a's 0-based rank on b's list, which is also a-'s rank in
+# b+'s list; and degb, b's degree, is the count of j in adj.
 #
-# ``ExpansionProbes`` holds them under the same names without the ``e_``.
-# ``probe_run`` is the run for one edge: a+ starts at e_start, and b-
-# accepts only d(b), which it ranks first.  A probe accepts when a- is
-# matched to d(a) or unmatched, b+ holds a strictly worse neighbor than a
-# (and not d(b)), a+ sits strictly below b, and the run's output is stable
-# against the full expansion.  The three O(1) checks come before the O(m)
-# stability scan; the checks are conjunctive, so the order does not change
-# the answer.  The probes return the first accepting edge index, or -1.
+# The run for one edge starts a+ at start, and b- accepts only d(b), which
+# it ranks first.  A probe accepts when a- is matched to d(a) or unmatched,
+# b+ holds a strictly worse neighbor than a (and not d(b)), a+ sits
+# strictly below b, and the run's output is stable against the full
+# expansion.  The three O(1) checks come before the O(m) stability scan;
+# the checks are conjunctive, so the order does not change the answer.
 #
 # ``probe_edges_python`` is the definition and runs every edge.  The
-# compiled twin derives these values from each edge's ``compile_view`` slot
-# instead of taking the arrays, and also skips, without a run, every edge
-# where a is last on b's list (e_posb + 1 >= e_degb): no rank lies strictly
-# between the two, so the b+ check cannot pass.
+# compiled twin also skips, without a run, every edge where a is last on
+# b's list (posb + 1 >= degb): no rank lies strictly between the two, so
+# the b+ check cannot pass.
 
 
-def probe_run(view: BipartiteView, aplus: int, start: int, bminus: int) -> ProposalResult:
-    """The constrained proposal run that probes one edge (a, b)."""
-    return run_proposals(view, start_rel={aplus: start}, cutoff={bminus: 1})
+def probe_edges_python(view: BipartiteView, order) -> tuple[int, list[int] | None]:
+    """The first edge in ``order`` whose probe accepts, and the run's ``prop_partner``.
 
-
-def probe_edges_python(
-    view: BipartiteView,
-    e_aplus,
-    e_aminus,
-    e_dbresp,
-    e_bplus,
-    e_bminus,
-    e_start,
-    e_posb,
-    e_degb,
-    counter: list[int] | None = None,
-) -> int:
-    off = view.off
-    for i in range(len(e_aplus)):
-        res = probe_run(view, e_aplus[i], e_start[i], e_bminus[i])
-        if counter is not None:
-            counter[0] += 1
-        am = e_aminus[i]
-        am_match = res.prop_partner[am]
-        if am_match >= 0 and am_match != e_dbresp[i]:
+    ``view`` is ``compile_view(inst)`` and ``order`` is ``edge_slots(inst)``.
+    Returns (-1, None) when no edge accepts.
+    """
+    off, adj, crossrank = view.off, view.adj, view.crossrank
+    ex = _expand(view)
+    owner = [i for i in range(view.n_prop) for _ in range(off[i], off[i + 1])]
+    for e, s in enumerate(order):
+        i, j = owner[s], adj[s]
+        ap, start = 2 * i, s - off[i] + 1
+        res = run_proposals(ex, start_rel={ap: start}, cutoff={2 * j + 1: 1})
+        am_match = res.prop_partner[ap + 1]
+        if am_match >= 0 and am_match != 2 * view.n_resp + i:
             continue
-        brank = res.cur_rank[e_bplus[i]]
-        if not (e_posb[i] < brank < e_degb[i]):
+        if not crossrank[s] < res.cur_rank[2 * j] < adj.count(j):
             continue
-        ap = e_aplus[i]
-        if res.prop_partner[ap] >= 0 and res.accept_pos[ap] - off[ap] <= e_start[i] - 1:
+        if res.prop_partner[ap] >= 0 and res.accept_pos[ap] - ex.off[ap] <= start - 1:
             continue
-        if output_is_stable(view, res):
-            return i
-    return -1
+        if output_is_stable(ex, res):
+            return e, res.prop_partner
+    return -1, None
 
 
 # -- compiled twin ---------------------------------------------------------
@@ -468,14 +427,11 @@ def edge_slots(inst: Instance) -> list[int]:
 
 
 def probe_edges_compiled(view: BipartiteView, order) -> tuple[int, list[int] | None]:
-    """Compiled twin of ``probe_edges_python``, on the instance's own view.
+    """Compiled twin of ``probe_edges_python``: same arguments, same result.
 
-    ``view`` is ``compile_view(inst)`` and ``order`` is ``edge_slots(inst)``;
-    the kernel builds the expansion and the per-edge values itself.  Returns
-    the first accepting edge index and the expansion ``prop_partner`` of its
-    run (what ``probe_run`` gives), or (-1, None).  Raises ValueError when
-    the kernel finds that the arrays do not fit together, and
-    ProbeUnavailable when the kernel cannot be built or loaded here.
+    Raises ValueError when the kernel finds that the arrays do not fit
+    together, and ProbeUnavailable when the kernel cannot be built or loaded
+    here.
     """
     kernel, reason = _load_probe()
     if kernel is None:

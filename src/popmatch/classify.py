@@ -12,13 +12,13 @@ blocking edge.  For each original edge (a, b) it runs one constrained
 proposal round in the expansion where b's receiving copy accepts only its
 dummy and a's proposing copy starts just below b, then applies the
 acceptance checks on the output, the O(1) ones before the stability scan.
-The compiled probe reads the instance's own ``_gs.compile_view``, the form
-``gale_shapley`` runs on, and builds the expansion from it; it rejects an
-edge where a is last on b's list without a run, since its b+ check cannot
-pass there.  The Python probe runs on ``_gs.expansion_view``.  The first
-accepted edge's run, which the compiled probe hands back, projects to the
-matching returned, which that edge blocks.  The edge-pair variant is
-the cubic cross-check over pairs of strictly-worse neighbors.
+Both probes, the C kernel and the Python reference, read the instance's
+own ``_gs.compile_view``, the form ``gale_shapley`` runs on, and the slot
+of each edge, and hand back the first accepted edge's run, which projects
+to the matching returned; that edge blocks it.  The kernel rejects an edge
+where a is last on b's list without a run, since its b+ check cannot pass
+there.  The edge-pair variant is the cubic cross-check over pairs of
+strictly-worse neighbors.
 """
 
 from __future__ import annotations
@@ -112,37 +112,27 @@ def exists_unstable_popular(
     error).  "auto" uses the compiled probe on every input and falls back to
     Python only when the kernel cannot be built or loaded here, which is
     decided once per process.  ``stats`` receives the backend that ran and
-    ``runs``: for "python" the proposal runs made, one per edge scanned;
-    for "compiled" the edges the scan decided, counting those the kernel
-    rejects without a run.
+    ``runs``, the edges the scan decided: for "python" one proposal run per
+    edge; for "compiled" that count includes the edges the kernel rejects
+    without a run.
     """
     inst.require_marriage("the unstable-popular decision")
     if backend not in ("auto", "python", "compiled"):
         raise ValueError(f"unknown backend {backend!r}")
-    hit = None
+    view, order = _gs.compile_view(inst), _gs.edge_slots(inst)
+    ran = "python"
     if backend != "python":
         try:
-            hit, partners = _gs.probe_edges_compiled(_gs.compile_view(inst), _gs.edge_slots(inst))
+            hit, partners = _gs.probe_edges_compiled(view, order)
+            ran = "compiled"
         except _gs.ProbeUnavailable:
             if backend == "compiled":
                 raise
-    if hit is not None:
-        if stats is not None:
-            stats["backend"] = "compiled"
-            stats["runs"] = len(inst.edges) if hit < 0 else hit + 1
-    else:
-        view = _gs.expansion_view(inst)
-        arrays = _gs.expansion_probes(inst)
-        counter = [0]
-        hit = _gs.probe_edges_python(view, *arrays, counter=counter)
-        if stats is not None:
-            stats["backend"] = "python"
-            stats["runs"] = counter[0]
-        if hit >= 0:
-            partners = _gs.probe_run(
-                view, arrays.aplus[hit], arrays.start[hit], arrays.bminus[hit]
-            ).prop_partner
-
+    if ran == "python":
+        hit, partners = _gs.probe_edges_python(view, order)
+    if stats is not None:
+        stats["backend"] = ran
+        stats["runs"] = len(order) if hit < 0 else hit + 1
     if hit < 0:
         return None
     return _gs.project_expansion(inst, partners)[0]

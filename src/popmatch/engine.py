@@ -19,9 +19,9 @@ prefers ``u+`` to ``u-``.  Each original edge (a,b) appears as (a+,b-) and
 of the original, and which copy of a vertex is matched encodes its witness
 value.
 
-G' exists only in compiled form, built by index arithmetic in
-``_gs.expansion_view``; the decision's C probe builds its own copy by the
-same arithmetic in ``_probe.c``.  The i-th vertex of side A and the j-th
+G' exists only in compiled form, built from ``_gs.compile_view`` by index
+arithmetic: in Python by ``_gs.expansion_view``, in C by the decision's
+probe kernel (``_probe.c``).  The i-th vertex of side A and the j-th
 of side B get the proposer ids a+ = 2i, a- = 2i+1 and responder id
 d(a) = 2|B|+i, and the responder ids b+ = 2j, b- = 2j+1 and proposer id
 d(b) = 2|A|+j.

@@ -101,14 +101,13 @@ def test_compiled_probe_hit_index_matches_reference():
     """Stack-ordered C kernel and heap-ordered reference pick the same edge
     and give the same run on it.
 
-    The kernel builds its expansion from the instance's own compiled view,
+    Both take the instance's compiled view and edge slots; the kernel
     rejects "a is last on b's list" edges without a run and checks its O(1)
-    conditions first; the reference runs every edge in full on
-    ``expansion_view``.  On a hit the kernel hands back its accepting run,
-    and the proposer-optimal output does not depend on the order in which
-    free proposers propose, so that run must equal ``probe_run``'s.  The
-    sample covers chains and accepting edges whose a is second to last on
-    b's list, where a skip one place too wide would show.
+    conditions first, while the reference runs every edge in full.  The
+    proposer-optimal output does not depend on the order in which free
+    proposers propose, so the accepting runs must be equal.  The sample
+    covers chains and accepting edges whose a is second to last on b's
+    list, where a skip one place too wide would show.
     """
     rng = random.Random(17)
     insts = [chain_instance(m) for m in range(1, 61)]
@@ -118,20 +117,12 @@ def test_compiled_probe_hit_index_matches_reference():
     ]
     hits = second_to_last = 0
     for inst in insts:
-        view = _gs.expansion_view(inst)
-        arrays = _gs.expansion_probes(inst)
-        hit = _gs.probe_edges_python(view, *arrays)
-        got, partners = _gs.probe_edges_compiled(_gs.compile_view(inst), _gs.edge_slots(inst))
-        assert got == hit, inst
-        if hit < 0:
-            assert partners is None
-            continue
-        res = _gs.probe_run(view, arrays.aplus[hit], arrays.start[hit], arrays.bminus[hit])
-        assert partners == res.prop_partner, inst
-        want = _gs.project_expansion(inst, res.prop_partner)[0]
-        assert _gs.project_expansion(inst, partners)[0] == want
-        hits += 1
-        second_to_last += arrays.posb[hit] == arrays.degb[hit] - 2
+        view, order = _gs.compile_view(inst), _gs.edge_slots(inst)
+        hit, partners = _gs.probe_edges_python(view, order)
+        assert _gs.probe_edges_compiled(view, order) == (hit, partners), inst
+        if hit >= 0:
+            hits += 1
+            second_to_last += view.crossrank[order[hit]] == inst.degree(inst.edges[hit][1]) - 2
     assert hits > 0 and second_to_last > 0  # the accepting path runs too
 
 
@@ -172,9 +163,8 @@ def test_compiled_skip_makes_no_run():
         {"a1": ["b2", "b1"], "a2": ["b3"], "b1": ["a1"], "b2": ["a1"], "b3": ["a2"]},
         {"a1": "A", "a2": "A", "b1": "B", "b2": "B", "b3": "B"},
     )
-    arrays = _gs.expansion_probes(inst)
-    assert all(p + 1 == d for p, d in zip(arrays.posb, arrays.degb))
     view, order = _gs.compile_view(inst), _gs.edge_slots(inst)
+    assert all(view.crossrank[s] + 1 == view.adj.count(view.adj[s]) for s in order)
     run, expansion, rest = _gs._scratch_sizes(view)
     work = array("q", [7] * (run + expansion + rest))
     scratch = (ctypes.c_int64 * len(work)).from_buffer(work)
@@ -192,11 +182,10 @@ def test_reference_never_accepts_a_last_on_b(seed, na, nb):
     whose a is last on b's list fails on its own, whatever its run gives."""
     rng = random.Random(seed)
     inst = random_marriage(rng, na, nb, rng.uniform(0.3, 1.0))
-    view = _gs.expansion_view(inst)
-    arrays = _gs.expansion_probes(inst)
-    for i, (p, d) in enumerate(zip(arrays.posb, arrays.degb)):
-        if p == d - 1:
-            assert _gs.probe_edges_python(view, *(a[i : i + 1] for a in arrays)) == -1
+    view = _gs.compile_view(inst)
+    for s in _gs.edge_slots(inst):
+        if view.crossrank[s] == view.adj.count(view.adj[s]) - 1:
+            assert _gs.probe_edges_python(view, [s]) == (-1, None)
 
 
 @pytest.mark.skipif(_gs.find_compiler() is None, reason="no C compiler (cc) on PATH")
@@ -245,31 +234,19 @@ def test_auto_backend_tries_compiled_then_falls_back(fig1, monkeypatch):
         exists_unstable_popular(inst, stats=want[inst], backend="python")
     assert want[chain]["runs"] == 200 and want[fig1]["runs"] < len(fig1.edges)
 
-    calls = []
-    by_view = {id(_gs.compile_view(inst)): inst for inst in (fig1, chain)}
-
-    def kernel(view, order):  # the reference stands in for the C kernel
-        calls.append(len(order))
-        inst = by_view[id(view)]
-        ex, arrays = _gs.expansion_view(inst), _gs.expansion_probes(inst)
-        hit = _gs.probe_edges_python(ex, *arrays)
-        if hit < 0:
-            return -1, None
-        return hit, _gs.probe_run(ex, arrays.aplus[hit], arrays.start[hit], arrays.bminus[hit]).prop_partner
-
-    monkeypatch.setattr(_gs, "probe_edges_compiled", kernel)
+    monkeypatch.setattr(_gs, "probe_edges_compiled", _gs.probe_edges_python)
     for inst in (fig1, chain):
         stats = {}
         found = exists_unstable_popular(inst, stats=stats)
         assert stats == {"backend": "compiled", "runs": want[inst]["runs"]}
         assert found == exists_unstable_popular(inst, backend="python")
-    assert calls == [len(fig1.edges), 200]
+
+    calls = []
 
     def unavailable(view, order):
         calls.append(len(order))
         raise _gs.ProbeUnavailable("no compiler here")
 
-    calls.clear()
     monkeypatch.setattr(_gs, "probe_edges_compiled", unavailable)
     for inst in (fig1, chain):
         stats = {}

@@ -4,10 +4,10 @@ import weakref
 
 import pytest
 
-from popmatch import cli, oracle
+from popmatch import _gs, cli, oracle
 from popmatch.cli import run
 from popmatch.engine import solve_dominant
-from popmatch.gen import random_marriage, random_maximal_matching, random_roommates
+from popmatch.gen import chain_instance, random_marriage, random_maximal_matching, random_roommates
 from popmatch.model import parse_witness, serialize_instance, serialize_matching
 from popmatch.popularity import is_stable, verify_witness
 
@@ -220,6 +220,26 @@ def test_classify_yes_case(tmp_path, capsys):
     inst.write_text("marriage\nA a\nB b\na: b\nb: a\n")
     assert run(["classify", str(inst), "--all-popular-stable"]) == 0
     assert capsys.readouterr().out.strip() == "YES"
+
+
+@pytest.mark.parametrize(("name", "code", "head"), [("fig1", 1, "NO"), ("chain", 0, "YES")])
+def test_classify_popular_stable_falls_back_to_the_same_output(
+    files, capsys, monkeypatch, name, code, head
+):
+    """Where the compiled probe cannot be loaded, the Python probe decides:
+    stdout and exit code are byte-identical to the kernel's route."""
+    path = files / f"{name}.inst"
+    if name == "chain":
+        path.write_text(serialize_instance(chain_instance(30)))
+    argv = ["classify", str(path), "--all-popular-stable"]
+    kernel = run(argv), capsys.readouterr().out
+
+    def unavailable(view, order):
+        raise _gs.ProbeUnavailable("no compiler here")
+
+    monkeypatch.setattr(_gs, "probe_edges_compiled", unavailable)
+    assert (run(argv), capsys.readouterr().out) == kernel
+    assert kernel[0] == code and kernel[1].splitlines()[0] == head
 
 
 def test_oracle_text(files, capsys):

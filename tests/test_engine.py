@@ -222,6 +222,24 @@ def _reference_probes(inst, ref):
     )
 
 
+def _reference_probe(view, probes):
+    """The probe on the arrays of ``_reference_probes``: the first accepting
+    edge index and its run on ``view``, or (-1, None)."""
+    aplus, aminus, dbresp, bplus, bminus, start, posb, degb = probes
+    for e, ap in enumerate(aplus):
+        res = _gs.run_proposals(view, start_rel={ap: start[e]}, cutoff={bminus[e]: 1})
+        am_match = res.prop_partner[aminus[e]]
+        if am_match >= 0 and am_match != dbresp[e]:
+            continue
+        if not posb[e] < res.cur_rank[bplus[e]] < degb[e]:
+            continue
+        if res.prop_partner[ap] >= 0 and res.accept_pos[ap] - view.off[ap] <= start[e] - 1:
+            continue
+        if _gs.output_is_stable(view, res):
+            return e, res
+    return -1, None
+
+
 def _cases(rng, n):
     """``n`` random instances, then one whose names look like each other's copies."""
     for _ in range(n):
@@ -259,11 +277,13 @@ def test_expansion_matches_named_reference():
     Sides of 0 to 6 vertices, any density (so empty sides, isolated
     vertices and incomplete lists), and the two sides interleaved in the
     vertex order, which the copy ids must not depend on; last, vertices
-    named ``x``, ``x+``, ``x-`` and ``d(x)``.  The decision is checked
-    against the reference probe run on the named expansion.  Both forms of
-    the expansion are pinned: ``expansion_view`` and, where the compiled
-    probe loads, the one the C kernel builds from ``compile_view``, whose
-    edge slots are checked too.
+    named ``x``, ``x+``, ``x-`` and ``d(x)``.  The probe, which works out
+    each edge's copy ids from its ``compile_view`` slot, is checked against
+    the array probe on the named expansion with its values looked up by
+    copy name: same accepting edge, same run.  Both forms of the expansion
+    are pinned: ``expansion_view`` and, where the compiled probe loads, the
+    one the C kernel builds from ``compile_view``, whose edge slots are
+    checked too.
     """
     rng = random.Random(31)
     kernel = _gs._load_probe()[0]
@@ -275,7 +295,6 @@ def test_expansion_matches_named_reference():
         ref_view = _gs.compile_view(ref.instance)
         probes = _reference_probes(inst, ref)
         assert _gs.expansion_view(inst) == ref_view
-        assert _gs.expansion_probes(inst) == probes
         view, side_a, side_b = _gs.compile_view(inst), inst.side_a(), inst.side_b()
         slots = _gs.edge_slots(inst)
         owners = [side_a[bisect_right(view.off, s) - 1] for s in slots]
@@ -290,14 +309,14 @@ def test_expansion_matches_named_reference():
         assert m == ref.project(m_exp)
         assert list(w.items()) == list(ref.witness(m_exp).items())
 
-        hit = _gs.probe_edges_python(ref_view, *probes)
+        hit, res = _reference_probe(ref_view, probes)
+        got, partners = _gs.probe_edges_python(view, slots)
+        assert got == hit
         found = exists_unstable_popular(inst)
         if hit < 0:
-            assert found is None
+            assert partners is None and found is None
         else:
-            res = _gs.run_proposals(
-                ref_view, start_rel={probes[0][hit]: probes[5][hit]}, cutoff={probes[4][hit]: 1}
-            )
+            assert partners == res.prop_partner
             assert found == ref.project(ref.matching(res.prop_partner))
 
         other = {"A": len(inst.side_b()), "B": len(inst.side_a())}
